@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import os
+from functools import partial
 
 from repro.core import BenchmarkConfig
 from repro.databases import CLASSES_BY_KEY
-from repro.engines import ENGINE_FACTORIES
+from repro.engines import PAPER_ENGINE_KEYS, create
 from repro.errors import UnsupportedConfiguration
 
 SCALES = ("small", "normal", "large")
 CLASSES = ("dcsd", "dcmd", "tcsd", "tcmd")
 
-ENGINES_BY_KEY = {factory.key: factory for factory in ENGINE_FACTORIES}
+ENGINES_BY_KEY = {key: partial(create, key) for key in PAPER_ENGINE_KEYS}
 
 
 def benchmark_config() -> BenchmarkConfig:

@@ -5,7 +5,7 @@ Run as a script to (re)generate ``BENCH_recovery.json``::
 
     PYTHONPATH=src python benchmarks/bench_recovery.py
 
-Two measurements over the durable sharded engine:
+Three measurements over the durable sharded engine:
 
 * **Recovery curve** — load a corpus into a fresh data directory (the
   load takes the baseline checkpoint), apply N acknowledged writes with
@@ -16,10 +16,15 @@ Two measurements over the durable sharded engine:
   compaction.
 * **Compaction bound** — the same write stream with periodic
   checkpoints: after the final checkpoint the on-disk WAL must stay
-  under ``shards * KEEP * segment_bytes`` (the manifest keeps ``KEEP``
-  checkpoints, so at most the segments above the oldest retained one
-  plus an empty live segment survive per shard).  The bound is a hard
-  gate: exceeding it exits non-zero (CI runs this).
+  under ``KEEP * segment_bytes``, whatever the shard count (the
+  manifest keeps ``KEEP`` checkpoints, so only the segments above the
+  oldest retained one survive, plus the live segment the final
+  checkpoint left empty).  The bound is a hard gate: exceeding it
+  exits non-zero (CI runs this).
+* **fsyncs per acknowledged update** — the ``wal.fsyncs`` counter over
+  a run of updates under ``fsync="always"``, at 2 and at 4 shards.
+  The engine keeps one log, so both figures must be exactly 1; anything
+  else also exits non-zero, so a per-shard append cannot creep back.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import tempfile
 from repro.core.checkpoint import CheckpointManager
 from repro.core.shard import ShardedEngine
 from repro.databases import CLASSES_BY_KEY
+from repro.obs import Recorder, observing
 from repro.xml.serializer import serialize
 
 CLASS_KEY = "dcmd"
@@ -43,6 +49,8 @@ FSYNC = "always"
 JOURNAL_LENGTHS = [0, 16, 64, 160]
 COMPACTION_WRITES = 96
 COMPACTION_CHECKPOINT_EVERY = 24
+FSYNC_SHARD_COUNTS = (2, 4)
+FSYNC_UPDATES = 32
 SEGMENT_BYTES = 64 * 1024
 UPDATE = ("order/@id", "order_status")
 ARTIFACT = os.path.join(os.path.dirname(__file__),
@@ -56,8 +64,8 @@ def corpus_texts():
                       for doc in documents]
 
 
-def durable_engine(db_class, texts, data_dir, **kwargs):
-    engine = ShardedEngine("native", shards=SHARDS, data_dir=data_dir,
+def durable_engine(db_class, texts, data_dir, shards=SHARDS, **kwargs):
+    engine = ShardedEngine("native", shards=shards, data_dir=data_dir,
                            fsync=FSYNC,
                            wal_segment_bytes=SEGMENT_BYTES, **kwargs)
     engine.timed_load(db_class, list(texts))
@@ -111,7 +119,7 @@ def compaction_run(db_class, texts) -> dict:
         final_bytes = engine.wal_disk_bytes()
         journal_bytes = engine.journal_bytes()
         engine.close()
-        bound = SHARDS * CheckpointManager.KEEP * SEGMENT_BYTES
+        bound = CheckpointManager.KEEP * SEGMENT_BYTES
         return {
             "writes": COMPACTION_WRITES,
             "checkpoint_every": COMPACTION_CHECKPOINT_EVERY,
@@ -122,6 +130,22 @@ def compaction_run(db_class, texts) -> dict:
             "bound_bytes": bound,
             "within_bound": final_bytes <= bound,
         }
+    finally:
+        shutil.rmtree(data_dir, ignore_errors=True)
+
+
+def fsyncs_per_acked_update(db_class, texts, shards: int) -> float:
+    """``wal.fsyncs`` per update over a checkpoint-free run (the
+    recorder goes in after the load, whose checkpoint also syncs)."""
+    data_dir = tempfile.mkdtemp(prefix="bench-fsyncs-")
+    try:
+        engine = durable_engine(db_class, texts, data_dir, shards=shards)
+        with observing(Recorder()) as recorder:
+            for step in range(FSYNC_UPDATES):
+                write(engine, step)
+            fsyncs = recorder.counters.get("wal.fsyncs")
+        engine.close()
+        return fsyncs / FSYNC_UPDATES
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
 
@@ -137,6 +161,9 @@ def main() -> int:
     curve = [recovery_point(db_class, texts, length)
              for length in JOURNAL_LENGTHS]
     compaction = compaction_run(db_class, texts)
+    fsyncs = {str(shards): fsyncs_per_acked_update(db_class, texts,
+                                                   shards)
+              for shards in FSYNC_SHARD_COUNTS}
 
     artifact = {
         "schema": "xbench-recovery/1",
@@ -147,6 +174,7 @@ def main() -> int:
         },
         "recovery_curve": curve,
         "compaction": compaction,
+        "fsyncs_per_acked_update": fsyncs,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2, sort_keys=True)
@@ -163,12 +191,20 @@ def main() -> int:
     print(f"compaction: peak {compaction['peak_wal_disk_bytes']} B, "
           f"final {compaction['post_compaction_wal_disk_bytes']} B "
           f"(bound {compaction['bound_bytes']} B)")
+    print("fsyncs per acked update: "
+          + ", ".join(f"{value:g} at {shards} shards"
+                      for shards, value in fsyncs.items()))
     print(f"wrote {args.out}")
+    status = 0
     if not compaction["within_bound"]:
         print("FAIL: post-compaction WAL disk exceeds "
               f"{compaction['bound_bytes']} bytes")
-        return 1
-    return 0
+        status = 1
+    if any(value != 1 for value in fsyncs.values()):
+        print("FAIL: an acknowledged update must cost exactly one "
+              f"fsync at every shard count, got {fsyncs}")
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

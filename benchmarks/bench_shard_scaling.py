@@ -8,9 +8,10 @@ For each multi-document class the artifact records, at the default
 bench scale (divisor 1000, "large"):
 
 * ``single_seconds`` — one native engine parsing the whole corpus;
-* per-transport sharded loads (``pipe`` = inline pickled payloads,
-  the *before* row; ``shm`` = shared-memory segment + offset triples,
-  the *after* row), each with end-to-end ``wall_seconds``, the actual
+* per-transport sharded loads (``shm`` = shared-memory segment +
+  offset triples, what the engine does; ``pipe`` = inline pickled
+  payloads, its fallback, measured by making segment creation fail),
+  each with end-to-end ``wall_seconds``, the actual
   ``pipe_bytes`` that crossed the worker pipes, and the encode / ship
   (attach) / decode (worker load) phase split;
 * ``per_shard_seconds`` — each shard's partition loaded sequentially
@@ -46,6 +47,8 @@ import json
 import os
 import tempfile
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 from repro.core.benchmark import BenchmarkConfig, XBench
 from repro.core.corpus_io import open_snapshot_corpus, \
@@ -71,13 +74,20 @@ def _timed_single_load(db_class, corpus) -> float:
     return elapsed
 
 
+def _no_shared_memory(size):
+    raise OSError("segment creation disabled for the pipe row")
+
+
 def _measure_transport(scenario, texts, transport: str,
                        single: float) -> dict:
     """One sharded bulk load over ``transport``, with the obs recorder
-    capturing what actually crossed the pipes."""
-    with observing(Recorder()) as recorder:
-        sharded = ShardedEngine("native", shards=SHARDS,
-                                transport=transport)
+    capturing what actually crossed the pipes.  The engine picks shm
+    whenever a segment can be built, so the pipe row takes that away."""
+    segments = (mock.patch("repro.core.shm.OwnedSegment",
+                           _no_shared_memory)
+                if transport == "pipe" else nullcontext())
+    with observing(Recorder()) as recorder, segments:
+        sharded = ShardedEngine("native", shards=SHARDS)
         start = time.perf_counter()
         sharded.timed_load(scenario.db_class, list(texts))
         wall = time.perf_counter() - start
@@ -128,8 +138,7 @@ def _measure_snapshot(scenario, single: float, directory: str,
     for __ in range(repeats):
         corpus = open_snapshot_corpus(directory, db_class.key,
                                       scenario.units, SEED)
-        sharded = ShardedEngine("native", shards=SHARDS,
-                                transport="shm")
+        sharded = ShardedEngine("native", shards=SHARDS)
         start = time.perf_counter()
         sharded.timed_load(db_class, corpus)
         warm_sharded = min(warm_sharded, time.perf_counter() - start)

@@ -15,8 +15,7 @@ import sys
 
 from repro.core import BenchmarkConfig, XBench
 from repro.core.indexes import indexes_for
-from repro.engines import make_engines
-from repro.engines.native import NativeEngine
+from repro.engines import PAPER_ENGINE_KEYS, create
 from repro.errors import UnsupportedConfiguration, UnsupportedQuery
 from repro.workload import bind_params
 from repro.workload.queries import EXPERIMENT_QUERIES, QUERIES_BY_ID
@@ -35,8 +34,9 @@ print(f"Table 3 indexes for {scenario.db_class.label}: "
 
 oracle: dict[str, list[str]] = {}
 rows = []
-for engine in sorted(make_engines(),
-                     key=lambda e: not isinstance(e, NativeEngine)):
+# The native engine goes first: its answers are the oracle.
+for engine in [create(key) for key in
+               sorted(PAPER_ENGINE_KEYS, key=lambda k: k != "native")]:
     try:
         engine.check_supported(scenario.db_class, scale)
     except UnsupportedConfiguration as exc:
@@ -52,7 +52,7 @@ for engine in sorted(make_engines(),
         except UnsupportedQuery:
             timings[qid] = (None, None)
             continue
-        if isinstance(engine, NativeEngine):
+        if engine.key == "native":
             oracle[qid] = outcome.values
         correct = outcome.values == oracle.get(qid)
         timings[qid] = (outcome.seconds * 1000, correct)

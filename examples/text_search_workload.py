@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core import BenchmarkConfig, XBench
 from repro.core.indexes import indexes_for
-from repro.engines import NativeEngine, make_engines
+from repro.engines import PAPER_ENGINE_KEYS, NativeEngine, create
 from repro.errors import UnsupportedConfiguration, UnsupportedQuery
 from repro.workload import bind_params
 from repro.workload.queries import QUERIES_BY_ID
@@ -26,8 +26,9 @@ for class_key in ("tcsd", "tcmd"):
     label = scenario.db_class.label
     print(f"\n=== {label} ({scenario.bytes / 1024:.0f} KB) ===")
 
-    engines = sorted(make_engines(),
-                     key=lambda e: not isinstance(e, NativeEngine))
+    # The native engine goes first: its answers are the oracle.
+    engines = [create(key) for key in
+               sorted(PAPER_ENGINE_KEYS, key=lambda k: k != "native")]
     loaded = []
     for engine in engines:
         try:

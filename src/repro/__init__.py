@@ -22,7 +22,7 @@ from .core.diagrams import render_all_figures, render_figure
 from .core.report import format_suite, format_table
 from .core.shard import ShardedEngine
 from .databases import ALL_CLASSES, CLASSES_BY_KEY
-from .engines import create, make_engines
+from .engines import create
 from .workload import ALL_QUERIES, QUERIES_BY_ID
 from .xml import parse_document, serialize
 from .xquery import run_query
@@ -41,7 +41,6 @@ __all__ = [
     "CLASSES_BY_KEY",
     "ShardedEngine",
     "create",
-    "make_engines",
     "ALL_QUERIES",
     "QUERIES_BY_ID",
     "parse_document",

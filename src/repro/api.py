@@ -8,9 +8,10 @@ single definition: frozen dataclasses with explicit defaults, validation
 at construction time, and ``to_wire``/``from_wire`` converters so the
 JSON framing layer stays dumb.
 
-Old-style wire dicts remain accepted everywhere through the ``from_wire``
-shims below — they are a deprecation shim, not a parallel API; new code
-should construct the dataclasses directly.
+The ``from_wire`` classmethods are the wire decoders: ``server.py``
+decodes every hello and query frame through them and
+``loadgen/client.py`` every reply, filling absent fields with the
+dataclass defaults.  In-process code constructs the dataclasses directly.
 
 The module also owns the consistency-tier vocabulary for replica reads
 (see ``docs/replication.md``):
@@ -196,8 +197,7 @@ class SessionOptions:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "SessionOptions":
-        # Deprecated entry point for raw hello dicts; prefer constructing
-        # SessionOptions directly.
+        # Decodes a hello frame; absent fields take the session defaults.
         return cls(engine=payload.get("engine", "native"),
                    class_key=payload.get("class", "dcsd"),
                    units=int(payload.get("units", 50)),
@@ -242,8 +242,7 @@ class QueryRequest:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "QueryRequest":
-        # Deprecated entry point for raw query dicts; prefer constructing
-        # QueryRequest directly.
+        # Decodes a query frame; absent fields take the request defaults.
         consistency = payload.get("consistency")
         return cls(qid=str(payload.get("qid", "")),
                    params=dict(payload.get("params") or {}),
@@ -291,8 +290,7 @@ class QueryResponse:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "QueryResponse":
-        # Deprecated entry point for raw reply dicts; prefer the typed
-        # client methods that return QueryResponse.
+        # Decodes a reply frame (the typed client methods call this).
         return cls(ok=bool(payload.get("ok")),
                    qid=str(payload.get("qid", "")),
                    rows=int(payload.get("rows", 0)),

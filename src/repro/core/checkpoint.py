@@ -32,7 +32,11 @@ from pathlib import Path
 from ..errors import BenchmarkError
 from .corpus_io import Snapshot
 
-MANIFEST_FORMAT = "rxck/1"
+#: ``rxck/2`` data dirs hold one write-ahead log for the whole engine;
+#: ``rxck/1`` dirs held one per shard, so reading one here would replay
+#: only shard 0's structural writes — :meth:`CheckpointManager.load`
+#: ignores them and recovery refuses the directory.
+MANIFEST_FORMAT = "rxck/2"
 MANIFEST_NAME = "checkpoint.json"
 SNAPSHOT_DIR = "checkpoints"
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from ..databases import CLASSES_BY_KEY
-from ..engines import make_engines
+from ..engines import PAPER_ENGINE_KEYS, create
 from .benchmark import ExperimentResult, SuiteResult
 
 #: paper column order.
@@ -33,7 +33,7 @@ def _row_labels(result: ExperimentResult) -> list[str]:
     noise.  Sharded rows (``<system> xN``) sort with their base
     system, so a ``--shards`` run keeps the paper's row order.
     """
-    paper_order = [engine.row_label for engine in make_engines()]
+    paper_order = [create(key).row_label for key in PAPER_ENGINE_KEYS]
     present = {row for (row, __, ___) in result.cells}
 
     def order(row: str) -> tuple[int, str]:

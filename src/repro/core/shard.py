@@ -39,8 +39,8 @@ Robustness
 Every RPC has a per-call timeout enforced with a poll loop that also
 watches worker liveness, so a killed worker is detected in ~50 ms rather
 than hanging.  A dead or timed-out worker is respawned and its state
-replayed — bulk load, index state and the per-shard journal of update
-operations — and the call retried under a
+replayed — bulk load, index state and the journal's value updates —
+and the call retried under a
 :class:`~repro.faults.policy.RetryPolicy` (exponential backoff with
 deterministic jitter and a cumulative retry budget); exhausted retries
 raise :class:`~repro.errors.ShardError`.  Each shard has a
@@ -69,25 +69,25 @@ infrastructure timeout).
 Transport
 ---------
 
-Bulk-load corpora ship through ``multiprocessing.shared_memory`` by
-default (``transport="shm"``): the parent packs every payload — XML
-text, or pre-encoded :class:`~repro.xml.binary.EncodedDocument` node
-arrays when loading from a snapshot — into one segment, and the load
-RPC carries only ``(segment name, offset, length)`` triples, so the
-pipe cost of scatter is independent of corpus size.  Workers attach
-read-only (unregistering from their resource tracker so a crash can
-never unlink the parent's segment — :mod:`repro.core.shm`), copy their
-slices out, and detach; a respawned worker re-attaches the same
-segment instead of re-shipping.  The parent owns the segment via a
-reference count and unlinks it on the next ``bulk_load`` or
-``close()``.  ``transport="pipe"`` restores inline payloads (and is
-the automatic fallback when no shared memory is available).  Documents
+Bulk-load corpora ship through ``multiprocessing.shared_memory``: the
+parent packs every payload — XML text, or pre-encoded
+:class:`~repro.xml.binary.EncodedDocument` node arrays when loading
+from a snapshot — into one segment, and the load RPC carries only
+``(segment name, offset, length)`` triples, so the pipe cost of scatter
+is independent of corpus size.  Workers attach read-only (unregistering
+from their resource tracker so a crash can never unlink the parent's
+segment — :mod:`repro.core.shm`), copy their slices out, and detach; a
+respawned worker re-attaches the same segment instead of re-shipping.
+The parent owns the segment via a reference count and unlinks it on
+the next ``bulk_load`` or ``close()``.  There is no knob: when the
+segment cannot be built (no shared memory on the host) the load falls
+back to inline pipe payloads and says so in an incident.  Documents
 inserted after load ride inline as ``extras`` in the respawn replay.
 :attr:`ShardedEngine.last_load_report` records the transport used,
-parent-side encode/copy time, segment size and per-worker
-attach/load phase timings; the ``shard.pipe_bytes`` /
-``shard.shm_segments`` / ``shard.shm_bytes`` obs counters quantify
-what actually crossed each medium.
+parent-side encode/copy time, segment size and per-worker attach/load
+phase timings; the ``shard.pipe_bytes`` / ``shard.shm_segments`` /
+``shard.shm_bytes`` obs counters quantify what actually crossed each
+medium.
 
 Replication
 -----------
@@ -96,13 +96,16 @@ Replication
 *rows*: replica row ``r`` holds one replica worker per shard, so a
 whole read fan-out can run against one row without touching the
 primaries.  Primaries acknowledge writes as before; each acknowledged
-write appends a **sequence-numbered** entry to the per-shard journal
-(``_committed_seq`` is the global write sequence), and entries ship to
-replicas over the same pipe RPC as a ``("replay", upto_seq, entries)``
-batch — synchronously after each write by default, or batched by a
-background thread every ``ship_interval`` seconds.  Replicas suppress
-duplicate sequences and report their ``applied_seq`` back, so lag is
-observable (``shard.replica_lag`` gauge, :meth:`replication_state`).
+write appends **one sequence-numbered** entry to the engine's journal
+(``_committed_seq`` is the global write sequence).  A replica of shard
+``i`` is shipped the entries that touch shard ``i`` — every
+``update_value``, and the inserts/deletes of documents ``shard_of``
+places there (:meth:`ShardedEngine._journal_for`) — over the same pipe
+RPC as a ``("replay", upto_seq, entries)`` batch: synchronously after
+each write by default, or batched by a background thread every
+``ship_interval`` seconds.  Replicas suppress duplicate sequences and
+report their ``applied_seq`` back, so lag is observable
+(``shard.replica_lag`` gauge, :meth:`replication_state`).
 
 Read-only queries route by consistency tier
 (:mod:`repro.api`): ``strong`` pins to the primaries,
@@ -131,12 +134,14 @@ Durability
 ----------
 
 ``data_dir=`` makes acknowledged writes survive the process: every
-write appends to a per-shard :class:`~repro.core.wal.WriteAheadLog`
-(fsync policy ``always|batch|off``) before the call returns, and
+write appends once to the engine's one
+:class:`~repro.core.wal.WriteAheadLog` (fsync policy
+``always|batch|off`` — one fsync per ack under ``always``, whatever the
+shard count) before the call returns, and
 :meth:`ShardedEngine.checkpoint` — manual, or periodic via
 ``checkpoint_interval`` — exports every shard's *current* engine state
-through the new ``snapshot`` worker op into per-shard RXSN files,
-records the cut in a :class:`~repro.core.checkpoint.CheckpointManager`
+through the ``snapshot`` worker op into per-shard RXSN files, records
+the cut in a :class:`~repro.core.checkpoint.CheckpointManager`
 manifest, compacts WAL segments below the oldest retained checkpoint
 and truncates the in-memory journal to the uncompacted suffix
 (``shard.journal_bytes`` gauges the bound).  A checkpoint also
@@ -147,9 +152,10 @@ journal floor (their entries were compacted) are rebuilt the same way
 (``shard.snapshot_catchups``), which is exactly snapshot-based catch-up
 after a long partition.  ``ShardedEngine(recover_dir=...)`` cold-starts
 from the newest *valid* checkpoint (damaged ones fall back to the
-previous) plus WAL replay to the exact committed sequence; corrupt WAL
-records are skipped with a typed
-:class:`~repro.errors.WalCorruption` incident, never a crash.
+previous) plus one in-order pass over the log to the exact committed
+sequence; a corrupt WAL record is skipped with a typed
+:class:`~repro.errors.WalCorruption` incident naming it — that one
+write is lost, the rest replay, never a crash.
 """
 
 from __future__ import annotations
@@ -192,7 +198,7 @@ from ..xml.nodes import Text
 from ..xml.parser import parse_document
 from ..xml.serializer import serialize
 from . import shm as _shm
-from .checkpoint import CheckpointManager
+from .checkpoint import MANIFEST_FORMAT, CheckpointManager
 from .corpus_io import write_snapshot_payloads
 from .wal import DEFAULT_SEGMENT_BYTES, FSYNC_POLICIES, WriteAheadLog
 
@@ -545,18 +551,6 @@ class _ShardState:
     #: :class:`~repro.xml.binary.EncodedDocument` payloads at each
     #: checkpoint so respawns load checkpoint state, not original text.
     mains: list[tuple[int, str, str]] = field(default_factory=list)
-    #: acknowledged write operations since the last checkpoint as
-    #: ``(seq, op)`` entries — the replication log.  Shipped
-    #: incrementally to replicas; primary respawns replay only the
-    #: ``update_value`` entries (``mains`` already reflects structural
-    #: inserts/deletes).
-    journal: list[tuple[int, tuple]] = field(default_factory=list)
-    #: highest sequence *truncated out of* the journal (the last
-    #: checkpoint's cut).  The journal holds exactly the entries with
-    #: ``seq > journal_floor``; a replica whose applied sequence fell
-    #: below the floor cannot catch up incrementally and is rebuilt
-    #: from the checkpoint-refreshed ``mains`` instead.
-    journal_floor: int = 0
 
 
 class ShardedEngine(Engine):
@@ -572,8 +566,6 @@ class ShardedEngine(Engine):
 
     #: accepted values for the ``degraded`` policy knob.
     DEGRADED_MODES = ("fail", "partial")
-    #: accepted values for the bulk-load ``transport`` knob.
-    TRANSPORTS = ("shm", "pipe")
 
     def __init__(self, engine_key: str = "native", shards: int = 2,
                  timeout: float | None = DEFAULT_TIMEOUT,
@@ -582,7 +574,6 @@ class ShardedEngine(Engine):
                  retry_budget: float = 30.0,
                  breaker_threshold: int = 3,
                  breaker_cooldown: float = 5.0,
-                 transport: str = "shm",
                  replicas: int = 0,
                  ship_interval: float = 0.0,
                  default_consistency="strong",
@@ -610,10 +601,6 @@ class ShardedEngine(Engine):
             raise ShardError(
                 f"degraded must be one of {self.DEGRADED_MODES}, "
                 f"got {degraded!r}")
-        if transport not in self.TRANSPORTS:
-            raise ShardError(
-                f"transport must be one of {self.TRANSPORTS}, "
-                f"got {transport!r}")
         inner = create(engine_key)   # metadata + check_supported proxy
         self._inner = inner
         self.engine_key = engine_key
@@ -658,8 +645,6 @@ class ShardedEngine(Engine):
         #: perf_counter of the first reply of the current execute()
         #: fan-out — the raw material of time-to-first-result.
         self._first_reply_ts: float | None = None
-        #: how bulk-load corpora ship to workers ("shm" or "pipe").
-        self.transport = transport
         self._segment: _shm.OwnedSegment | None = None
         self._segment_entries: list[dict] = [dict()
                                              for __ in range(shards)]
@@ -670,6 +655,16 @@ class ShardedEngine(Engine):
         # -- replication state --
         #: global write sequence: bumped once per acknowledged write.
         self._committed_seq = 0
+        #: acknowledged writes since the last checkpoint as ``(seq,
+        #: op)`` entries, in sequence order — the one replication log.
+        #: Read per shard through :meth:`_journal_for`.
+        self._journal: list[tuple[int, tuple]] = []
+        #: highest sequence *truncated out of* the journal (the last
+        #: checkpoint's cut).  The journal holds exactly the entries
+        #: with ``seq > _journal_floor``; a replica whose applied
+        #: sequence fell below the floor cannot catch up incrementally
+        #: and is rebuilt from the checkpoint-refreshed ``mains``.
+        self._journal_floor = 0
         #: replica row r (1-based) lives at _replica_rows[r - 1]: one
         #: worker per shard, or None where the slot is dead.
         self._replica_rows: list[list[_Worker | None]] = [
@@ -697,7 +692,7 @@ class ShardedEngine(Engine):
         self._fsync = fsync
         self._wal_segment_bytes = wal_segment_bytes
         self.checkpoint_interval = checkpoint_interval
-        self._wal: list[WriteAheadLog] | None = None
+        self._wal: WriteAheadLog | None = None
         self._checkpoint_manager = (
             CheckpointManager(self._data_dir)
             if self._data_dir is not None else None)
@@ -827,17 +822,7 @@ class ShardedEngine(Engine):
             self._reset_state()
             self._class_key = db_class.key
             self._partition(db_class, texts)
-            transport = self.transport
-            encode_seconds = 0.0
-            if transport == "shm":
-                try:
-                    encode_seconds = self._build_segment()
-                except (OSError, ValueError) as exc:
-                    self.incidents.append(
-                        f"shared memory unavailable ({exc}); "
-                        "falling back to pipe transport")
-                    self._release_segment()
-                    transport = "pipe"
+            transport, encode_seconds = self._stage_corpus()
             try:
                 with _obs.span("shard.bulk_load", shards=self.shards,
                                engine=self.engine_key,
@@ -852,8 +837,8 @@ class ShardedEngine(Engine):
                 self._release_segment()
                 raise
             if self._data_dir is not None:
-                # Durable mode: open the per-shard logs and establish
-                # the load-time checkpoint — the baseline every
+                # Durable mode: open the log and establish the
+                # load-time checkpoint — the baseline every
                 # recovery starts from (WAL replay alone cannot
                 # recreate the bulk-loaded corpus).
                 self._open_wal()
@@ -879,6 +864,21 @@ class ShardedEngine(Engine):
     def _iter_mains(self):
         for state in self._states:
             yield from state.mains
+
+    def _stage_corpus(self) -> tuple[str, float]:
+        """Put the partitioned corpus where worker loads will read it.
+
+        Shared memory when a segment can be built, otherwise the load
+        messages carry the payloads inline over the pipes (recorded as
+        an incident).  Returns ``(transport, encode_seconds)``."""
+        try:
+            return "shm", self._build_segment()
+        except (OSError, ValueError) as exc:
+            self.incidents.append(
+                f"shared memory unavailable ({exc}); "
+                "falling back to pipe transport")
+            self._release_segment()
+            return "pipe", 0.0
 
     def _build_segment(self) -> float:
         """Pack every partitioned payload into one shm segment.
@@ -959,7 +959,6 @@ class ShardedEngine(Engine):
         self._stop_ship_thread()
         self._stop_checkpoint_thread()
         self._stop_workers()
-        self._stop_replicas()
         self._release_segment()
         self._close_wal()
         self._states = [_ShardState() for __ in range(self.shards)]
@@ -974,6 +973,8 @@ class ShardedEngine(Engine):
         self._breakers = self._new_breakers()
         self.last_load_report = None
         self._committed_seq = 0
+        self._journal = []
+        self._journal_floor = 0
         self._replica_deficits = set()
         self._row_outstanding = [0] * (self.replicas + 1)
         self._replicas_loaded = False
@@ -1013,44 +1014,27 @@ class ShardedEngine(Engine):
         """
         self._closing = True
         self._halt_background()
-        everyone = list(self._workers)
-        for row_workers in self._replica_rows:
-            everyone.extend(row_workers)
-        for worker in everyone:
-            if worker is None:
-                continue
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            if worker.process.is_alive():
-                worker.process.kill()
-            worker.process.join(timeout=2.0)
-        self._workers = [None] * self.shards
-        self._replica_rows = [[None] * self.shards
-                              for __ in range(self.replicas)]
+        for slots in (self._workers, *self._replica_rows):
+            for index, worker in enumerate(slots):
+                if worker is None:
+                    continue
+                try:
+                    worker.conn.close()
+                except OSError:
+                    pass
+                if worker.process.is_alive():
+                    worker.process.kill()
+                worker.process.join(timeout=2.0)
+                slots[index] = None
         self._release_segment()
         self._close_wal()
         self.loaded = False
         self.db_class = None
 
     def _stop_workers(self) -> None:
-        for index, worker in enumerate(self._workers):
-            if worker is None:
-                continue
-            try:
-                call_id = worker.next_call_id()
-                worker.conn.send((call_id, ("stop",)))
-                self._recv(worker, time.monotonic() + 2.0, 2.0,
-                           call_id)
-            except (_WorkerFailure, OSError, ValueError):
-                pass
-            self._terminate(worker)
-            self._workers[index] = None
-
-    def _stop_replicas(self) -> None:
-        for row_workers in self._replica_rows:
-            for index, worker in enumerate(row_workers):
+        """Stop every worker process: primaries, then replica rows."""
+        for slots in (self._workers, *self._replica_rows):
+            for index, worker in enumerate(slots):
                 if worker is None:
                     continue
                 try:
@@ -1061,7 +1045,7 @@ class ShardedEngine(Engine):
                 except (_WorkerFailure, OSError, ValueError):
                     pass
                 self._terminate(worker)
-                row_workers[index] = None
+                slots[index] = None
 
     @staticmethod
     def _terminate(worker: _Worker) -> None:
@@ -1424,12 +1408,7 @@ class ShardedEngine(Engine):
                 del self._ordinals[name]
                 self._next_ordinal = ordinal
                 raise
-            self._committed_seq += 1
-            self._states[index].journal.append(
-                (self._committed_seq, ("insert", name, text)))
-            self._wal_append(index, self._committed_seq,
-                             ("insert", name, text))
-            self._after_write()
+            self._commit(("insert", name, text))
 
     def delete_document(self, name: str) -> None:
         with self._exclusive():
@@ -1440,12 +1419,7 @@ class ShardedEngine(Engine):
             self._states[index].mains = [
                 entry for entry in self._states[index].mains
                 if entry[1] != name]
-            self._committed_seq += 1
-            self._states[index].journal.append(
-                (self._committed_seq, ("delete", name)))
-            self._wal_append(index, self._committed_seq,
-                             ("delete", name))
-            self._after_write()
+            self._commit(("delete", name))
 
     def update_value(self, id_path: str, id_value: str, target_tag: str,
                      new_value: str) -> int:
@@ -1455,60 +1429,74 @@ class ShardedEngine(Engine):
                        new_value)
             replies = self._scatter(range(self.shards),
                                     lambda __: message)
-            self._committed_seq += 1
-            for state in self._states:
-                state.journal.append((self._committed_seq, message))
-            for index in range(self.shards):
-                self._wal_append(index, self._committed_seq, message)
-            self._after_write()
+            self._commit(message)
             return sum(replies)
 
-    def _after_write(self) -> None:
-        """Post-acknowledgement replication hook: with no ship
-        interval, journal entries ship synchronously; otherwise the
-        ship thread batches them."""
+    def _commit(self, op: tuple) -> None:
+        """Sequence one write the primaries just applied: journal it,
+        log it, then ship it — the single tail of every write path.
+
+        The log append (one frame, one fsync under ``always``; a no-op
+        without a data dir) runs *before* the write returns, so
+        acknowledged == logged.  A failed append (disk fault) raises —
+        the caller sees a failed write — but the sequence stays
+        consumed and the journal entry stays: the op already applied
+        worker-side, and an unacknowledged write is allowed to land or
+        vanish, never to corrupt sequencing.
+
+        Shipping follows the acknowledgement: with no ship interval
+        the entry goes to the replicas synchronously; otherwise the
+        ship thread batches it.
+        """
+        self._committed_seq += 1
+        seq = self._committed_seq
+        self._journal.append((seq, op))
+        if self._wal is not None:
+            try:
+                self._wal.append(seq, op)
+            except (FaultInjected, ShardError) as exc:
+                _obs.count("wal.append_failures")
+                self.incidents.append(
+                    f"wal append failed for seq {seq}: {exc}")
+                raise
         _obs.gauge("shard.journal_bytes", self.journal_bytes())
         if self._replicas_loaded and self.ship_interval <= 0:
             self._ship_pending_locked()
 
-    def _wal_append(self, index: int, seq: int, op: tuple) -> None:
-        """Append one journal entry to shard ``index``'s log (no-op
-        without a data dir).
+    def _journal_for(self, index: int, after_seq: int = 0, *,
+                     updates_only: bool = False) -> list:
+        """The journal entries past ``after_seq`` that shard ``index``
+        has to apply — the one filter every per-shard consumer reads
+        the journal through.
 
-        Runs after the workers applied the op but *before* the write
-        returns, so acknowledged == logged.  A failed append (disk
-        fault) raises — the caller sees a failed write — but the
-        sequence stays consumed and the journal entry stays: the op
-        already applied worker-side, and an unacknowledged write is
-        allowed to land or vanish, never to corrupt sequencing.
+        An ``update_value`` applies to every shard; an insert or
+        delete applies to the shard that owns the named document, and
+        :meth:`shard_of` is a pure function of the name (and ``_home``,
+        fixed at load).  A worker freshly loaded from ``mains`` passes
+        ``updates_only``: ``mains`` already reflects the structural
+        entries, so only value updates separate it from the primaries.
         """
-        if self._wal is None:
-            return
-        try:
-            self._wal[index].append(seq, op)
-        except (FaultInjected, ShardError) as exc:
-            _obs.count("wal.append_failures")
-            self.incidents.append(
-                f"wal append failed for shard {index} seq {seq}: "
-                f"{exc}")
-            raise
+        return [(seq, op) for seq, op in self._journal
+                if seq > after_seq
+                and (op[0] == "update_value"
+                     or (not updates_only
+                         and self.shard_of(op[1]) == index))]
 
     # -- durability: WAL, checkpoints, recovery ------------------------------
 
     def _open_wal(self) -> None:
         self._close_wal()
         assert self._data_dir is not None
-        self._wal = [WriteAheadLog(
-            self._data_dir, index, fsync=self._fsync,
+        # One log for the whole engine; the ``shard`` slot of the WAL
+        # layout (``<data_dir>/shard-0/wal``) is simply 0.
+        self._wal = WriteAheadLog(
+            self._data_dir, 0, fsync=self._fsync,
             segment_bytes=self._wal_segment_bytes)
-            for index in range(self.shards)]
 
     def _close_wal(self) -> None:
-        if self._wal is None:
-            return
-        for log in self._wal:
-            log.close()
-        self._wal = None
+        if self._wal is not None:
+            self._wal.close()
+            self._wal = None
 
     def journal_bytes(self) -> int:
         """Approximate in-memory size of the replication journal —
@@ -1516,18 +1504,14 @@ class ShardedEngine(Engine):
         observable side of the checkpoint bound (``shard.journal_bytes``
         gauge): without checkpoints it grows with every write, after
         one it holds only the uncompacted suffix."""
-        total = 0
-        for state in self._states:
-            for __seq, op in state.journal:
-                total += 16 + sum(
-                    len(part) if isinstance(part, str) else 8
-                    for part in op)
-        return total
+        return sum(16 + sum(len(part) if isinstance(part, str) else 8
+                            for part in op)
+                   for __seq, op in self._journal)
 
     def wal_disk_bytes(self) -> int:
-        """Total on-disk WAL size across shards (0 without a data
-        dir) — what checkpoint compaction bounds."""
-        return sum(log.disk_bytes() for log in (self._wal or ()))
+        """On-disk WAL size (0 without a data dir) — what checkpoint
+        compaction bounds."""
+        return self._wal.disk_bytes() if self._wal is not None else 0
 
     def durability_state(self) -> dict | None:
         """Durability snapshot for the stats surface (None when the
@@ -1599,8 +1583,8 @@ class ShardedEngine(Engine):
             # entries are in ``mains`` by construction, so a journal
             # with no updates needs no refresh (and the load-time
             # checkpoint keeps its shm segment).
-            if any(op[0] == "update_value" for state in self._states
-                   for __seq, op in state.journal):
+            if any(op[0] == "update_value"
+                   for __seq, op in self._journal):
                 self._refresh_from_exports(exports)
                 self._release_segment()
             if self._checkpoint_manager is not None:
@@ -1617,13 +1601,11 @@ class ShardedEngine(Engine):
                     # fallback) only while its WAL suffix survives.
                     cutoff = (self._checkpoint_manager
                               .oldest_retained_seq())
-                    for log in self._wal:
-                        log.truncate_below(cutoff)
-                        log.sync()
-            for state in self._states:
-                state.journal = [entry for entry in state.journal
-                                 if entry[0] > seq]
-                state.journal_floor = max(state.journal_floor, seq)
+                    self._wal.truncate_below(cutoff)
+                    self._wal.sync()
+            self._journal = [entry for entry in self._journal
+                             if entry[0] > seq]
+            self._journal_floor = max(self._journal_floor, seq)
         self.last_checkpoint_seq = seq
         _obs.count("shard.checkpoints")
         _obs.gauge("shard.journal_bytes", self.journal_bytes())
@@ -1709,7 +1691,9 @@ class ShardedEngine(Engine):
         manifest = manager.load()
         if manifest is None:
             raise RecoveryError(
-                f"{self._data_dir}: no checkpoint manifest")
+                f"{self._data_dir}: no {MANIFEST_FORMAT} checkpoint "
+                "manifest (other manifest formats are refused, not "
+                "migrated)")
         if manifest.get("shards") != self.shards:
             raise RecoveryError(
                 f"{self._data_dir}: manifest has "
@@ -1760,53 +1744,35 @@ class ShardedEngine(Engine):
         self._home = int(home) if home is not None else None
         self._index_paths = list(entry.get("index_paths", ()))
         self._committed_seq = checkpoint_seq
-        for state in self._states:
-            state.journal_floor = checkpoint_seq
+        self._journal_floor = checkpoint_seq
 
-        # WAL replay into parent state.  Structural ops re-apply to
-        # the partition map in *global* sequence order (ordinals are
-        # assigned in commit order); update_value entries stay
-        # journal-only, exactly like the live write path.
+        # WAL replay into parent state: one pass in log (= commit)
+        # order.  Structural ops re-apply to the partition map —
+        # ordinals are assigned in commit order — and update_value
+        # entries stay journal-only, exactly like the live write path.
         self._open_wal()
-        wal_records = 0
-        corrupt_records = 0
-        structural: list[tuple[int, int, tuple]] = []
-        for index, log in enumerate(self._wal):
-            records = log.records(after_seq=checkpoint_seq)
-            for incident in log.incidents:
-                self.incidents.append(f"WalCorruption: {incident}")
-            corrupt_records += len(log.incidents)
-            wal_records += len(records)
-            state = self._states[index]
-            state.journal = [(seq, tuple(op)) for seq, op in records]
-            for seq, op in state.journal:
-                self._committed_seq = max(self._committed_seq, seq)
-                if op[0] in ("insert", "delete"):
-                    structural.append((seq, index, op))
-        for seq, index, op in sorted(structural):
-            state = self._states[index]
+        self._journal = self._wal.records(after_seq=checkpoint_seq)
+        self.incidents.extend(f"WalCorruption: {incident}"
+                              for incident in self._wal.incidents)
+        corrupt_records = len(self._wal.incidents)
+        wal_records = len(self._journal)
+        for seq, op in self._journal:
+            self._committed_seq = max(self._committed_seq, seq)
             if op[0] == "insert":
                 ordinal = self._next_ordinal
                 self._next_ordinal += 1
                 self._ordinals[op[1]] = ordinal
-                state.mains.append((ordinal, op[1], op[2]))
-            else:
+                self._states[self.shard_of(op[1])].mains.append(
+                    (ordinal, op[1], op[2]))
+            elif op[0] == "delete":
                 self._ordinals.pop(op[1], None)
+                state = self._states[self.shard_of(op[1])]
                 state.mains = [main for main in state.mains
                                if main[1] != op[1]]
 
         # Spawn and load workers from the rebuilt state, then replay
         # the update suffix so worker state reaches the committed seq.
-        transport = self.transport
-        if transport == "shm":
-            try:
-                self._build_segment()
-            except (OSError, ValueError) as exc:
-                self.incidents.append(
-                    f"shared memory unavailable ({exc}); "
-                    "falling back to pipe transport")
-                self._release_segment()
-                transport = "pipe"
+        self._stage_corpus()
         with _obs.span("shard.recover", shards=self.shards,
                        checkpoint_seq=checkpoint_seq,
                        wal_records=wal_records):
@@ -1817,10 +1783,10 @@ class ShardedEngine(Engine):
                 self._scatter(
                     range(self.shards),
                     lambda __: ("indexes", list(self._index_paths)))
-            for index, state in enumerate(self._states):
-                for __seq, op in state.journal:
-                    if op[0] == "update_value":
-                        self._call(index, op)
+            for index in range(self.shards):
+                for __seq, op in self._journal_for(
+                        index, updates_only=True):
+                    self._call(index, op)
             if self.replicas:
                 self._load_replica_rows()
                 self._catch_up_replicas_locked()
@@ -1857,8 +1823,7 @@ class ShardedEngine(Engine):
                     self._replica_rows[row - 1]):
                 if worker is None:
                     continue
-                updates = [e for e in self._states[index].journal
-                           if e[1][0] == "update_value"]
+                updates = self._journal_for(index, updates_only=True)
                 try:
                     worker.applied_seq = int(self._call_worker(
                         worker, ("replay", committed, updates)))
@@ -1942,9 +1907,8 @@ class ShardedEngine(Engine):
             self._call_raw(index, ("indexes", list(self._index_paths)))
         # The load message already reflects structural inserts/deletes
         # (``mains`` is current), so only value updates replay.
-        for __seq, op in self._states[index].journal:
-            if op[0] == "update_value":
-                self._call_raw(index, op)
+        for __seq, op in self._journal_for(index, updates_only=True):
+            self._call_raw(index, op)
 
     def _record_failure(self, index: int) -> None:
         """Account one infrastructure failure on the shard's breaker."""
@@ -2039,7 +2003,7 @@ class ShardedEngine(Engine):
                 best_row, best = row, worker
         if best is None:
             return False
-        if best.applied_seq < self._states[index].journal_floor:
+        if best.applied_seq < self._journal_floor:
             # The journal no longer reaches back far enough to catch
             # this candidate up (entries below the checkpoint floor
             # were compacted) — fall back to a respawn, which reloads
@@ -2047,17 +2011,14 @@ class ShardedEngine(Engine):
             self.incidents.append(
                 f"shard {index} failover skipped: freshest replica "
                 f"(applied_seq {best.applied_seq}) is behind the "
-                f"checkpoint floor "
-                f"{self._states[index].journal_floor}")
+                f"checkpoint floor {self._journal_floor}")
             return False
         with self._row_locks[best_row - 1]:
             self._replica_rows[best_row - 1][index] = None
         self._replica_deficits.add((best_row, index))
         with _obs.span("shard.failover", shard=index, row=best_row):
             try:
-                entries = [entry for entry in
-                           self._states[index].journal
-                           if entry[0] > best.applied_seq]
+                entries = self._journal_for(index, best.applied_seq)
                 best.applied_seq = int(self._call_worker(
                     best, ("replay", self._committed_seq, entries)))
                 self._generations[index] += 1
@@ -2401,8 +2362,7 @@ class ShardedEngine(Engine):
         if self._index_paths:
             self._call_worker(worker,
                               ("indexes", list(self._index_paths)))
-        updates = [entry for entry in self._states[index].journal
-                   if entry[1][0] == "update_value"]
+        updates = self._journal_for(index, updates_only=True)
         worker.applied_seq = int(self._call_worker(
             worker, ("replay", self._committed_seq, updates)))
 
@@ -2450,7 +2410,7 @@ class ShardedEngine(Engine):
                     row_applied = 0
                     continue
                 if worker.applied_seq < committed:
-                    floor = self._states[index].journal_floor
+                    floor = self._journal_floor
                     if worker.applied_seq < floor:
                         # Checkpoint compaction dropped entries this
                         # replica still needs — incremental ship can
@@ -2467,9 +2427,8 @@ class ShardedEngine(Engine):
                         self._replica_deficits.add((row, index))
                         row_applied = 0
                         continue
-                    entries = [entry for entry in
-                               self._states[index].journal
-                               if entry[0] > worker.applied_seq]
+                    entries = self._journal_for(index,
+                                                worker.applied_seq)
                     try:
                         worker.applied_seq = int(self._call_worker(
                             worker, ("replay", committed, entries)))

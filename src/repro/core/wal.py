@@ -1,12 +1,15 @@
-"""Durable write-ahead log for the per-shard replication journal.
+"""Durable write-ahead log for the replication journal.
 
-The in-memory journal (:class:`repro.core.shard._ShardState`) is the
-replication log: every acknowledged write appends one sequence-numbered
-entry.  This module persists that stream so acknowledged writes survive
-the process — the classic checkpointed-WAL shape that RadegastXDB (and
-every durable DBMS) layers over its page store.
+The sharded engine's in-memory journal is the replication log: every
+acknowledged write appends one sequence-numbered entry, once, whatever
+the shard count.  This module persists that stream so acknowledged
+writes survive the process — the classic checkpointed-WAL shape that
+RadegastXDB (and every durable DBMS) layers over its page store: one
+log over the whole store.
 
-On-disk layout (one directory per shard)::
+On-disk layout (the engine opens exactly one log, ``shard=0``; the
+``shard`` slot in the path and the segment header identifies a log,
+not a partition)::
 
     <data_dir>/shard-<i>/wal/seg-<base_seq:012d>.wal
 
@@ -101,7 +104,7 @@ def _encode_frame(seq: int, op: tuple) -> bytes:
 
 
 class WriteAheadLog:
-    """One shard's append-only segmented log.
+    """One append-only segmented log (identified by ``shard``).
 
     Opening scans the existing segments (crash recovery path): the torn
     tail of the last segment is truncated, mid-log CRC corruption is

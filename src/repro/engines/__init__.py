@@ -11,8 +11,8 @@ managers::
         ...
     # close() has released trees, relstore tables, caches and summaries
 
-:func:`register` adds third-party engines to the registry;
-:func:`make_engines` remains as a deprecated shim over the registry.
+:func:`register` adds third-party engines to the registry, and
+:data:`PAPER_ENGINE_KEYS` lists the paper's four systems in row order.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ _REGISTRY: dict[str, Callable[[], Engine]] = {
 PAPER_ENGINE_KEYS: tuple[str, ...] = ("xcolumn", "xcollection",
                                       "sqlserver", "native")
 
-#: Deprecated alias kept for old callers; prefer the registry.
-ENGINE_FACTORIES = (XColumnEngine, XCollectionEngine, SqlServerEngine,
-                    NativeEngine)
-
 
 def create(key: str) -> Engine:
     """A fresh engine instance for ``key`` (the registry factory)."""
@@ -73,15 +69,6 @@ def engine_keys() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def make_engines() -> list[Engine]:
-    """Fresh instances of all four engines (paper row order).
-
-    Deprecated: use :func:`create` (one engine by key) or iterate
-    :data:`PAPER_ENGINE_KEYS`; kept as a shim for existing callers.
-    """
-    return [create(key) for key in PAPER_ENGINE_KEYS]
-
-
 __all__ = [
     "Engine",
     "LoadStats",
@@ -95,10 +82,8 @@ __all__ = [
     "ShredPlan",
     "build_plan",
     "XColumnEngine",
-    "ENGINE_FACTORIES",
     "PAPER_ENGINE_KEYS",
     "create",
     "register",
     "engine_keys",
-    "make_engines",
 ]

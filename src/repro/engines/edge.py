@@ -16,7 +16,7 @@ XBench classes), at the price of one self-join per path step — the
 shredding-granularity trade-off DESIGN.md lists as design decision #2.
 ``benchmarks/bench_ablation_edge.py`` quantifies it against the DAD
 shredders.  The engine is an ablation extra: it is not one of the
-paper's four systems and is excluded from ``make_engines()``.
+paper's four systems and is excluded from ``PAPER_ENGINE_KEYS``.
 """
 
 from __future__ import annotations

@@ -40,35 +40,6 @@ from ..xquery.items import string_value
 from .base import Engine, LoadStats
 from .planner import IndexProbePlan, QueryPlanner, ScanPlan
 
-# Legacy override/fallback table, fully subsumed by the generic planner
-# (tests/test_planner.py asserts every entry is re-derived from the AST
-# without consulting this dict).  Kept only as a safety net: if the
-# planner ever declines a query the table still covers, the engine falls
-# back here and counts ``planner.fallback_overrides``.
-# (qid, class) -> (index path, parameter name, XQuery relative to each
-# indexed node).  Element-value indexes (e.g. "hw") yield the
-# value-carrying element, so relative queries step up with "..".  The
-# multi-document classes have no entries: collection() iteration is the
-# architectural cost being modeled.
-_ACCELERATED: dict[tuple[str, str], tuple[str, str, str]] = {
-    ("Q1", "dcsd"): ("item/@id", "id", "."),
-    ("Q5", "dcsd"): ("item/@id", "id", "authors/author[1]/name/last_name"),
-    ("Q8", "dcsd"): ("item/@id", "id", "*/suggested_retail_price"),
-    ("Q12", "dcsd"): ("item/@id", "id",
-                      "for $a in ./authors/author[1] return <address_info>"
-                      "{ $a/contact_information/mailing_address }"
-                      "</address_info>"),
-    ("Q5", "tcsd"): ("hw", "word", "../definition[1]/def_text"),
-    ("Q8", "tcsd"): ("hw", "word", "../*/quote/qt"),
-    ("Q11", "tcsd"): ("hw", "word",
-                      "for $q in ../definition/quote "
-                      "where exists($q/date) order by xs:date($q/date) "
-                      "return <quotation>{ $q/author }{ $q/date }"
-                      "</quotation>"),
-    ("Q12", "tcsd"): ("hw", "word",
-                      "<entry_info>{ ../definition }</entry_info>"),
-}
-
 
 class NativeEngine(Engine):
     """In-memory tree store + real XQuery evaluation."""
@@ -148,8 +119,7 @@ class NativeEngine(Engine):
     def execute(self, qid: str, params: dict) -> list[str]:
         self._require_loaded()
         assert self.db_class is not None
-        class_key = self.db_class.key
-        text = QUERIES_BY_ID[qid].text_for(class_key)
+        text = QUERIES_BY_ID[qid].text_for(self.db_class.key)
         plan = self._plan_for(text)
 
         if isinstance(plan, IndexProbePlan):
@@ -159,25 +129,6 @@ class NativeEngine(Engine):
             scan_reason = f"index {plan.index_path} not built"
         else:
             scan_reason = plan.reason
-
-        # Safety net: the planner should subsume every override entry;
-        # reaching this branch means it declined one the table covers.
-        legacy = _ACCELERATED.get((qid, class_key))
-        if legacy is not None:
-            path, param_name, relative_query = legacy
-            index = self._indexes.get(path)
-            if index is not None and not isinstance(plan, IndexProbePlan):
-                _obs_count("native.index_hits")
-                _obs_count("planner.fallback_overrides")
-                value = str(params[param_name])
-                with _obs_plan_node("native.index_lookup", path=path,
-                                    source="override") as plan_node:
-                    matches = index.get(value, [])
-                    out = self._run_accelerated(index, value,
-                                                relative_query, params)
-                    plan_node.add(rows_in=len(matches),
-                                  rows_out=len(out))
-                return out
 
         _obs_count("native.collection_scans")
         _obs_count("native.documents_visited", len(self._collection))
@@ -240,16 +191,6 @@ class NativeEngine(Engine):
                 out.extend(normalize_result(
                     _evaluate(plan.residual, context)))
             plan_node.add(rows_in=len(matches), rows_out=len(out))
-        return out
-
-    def _run_accelerated(self, index: dict[str, list[Node]], value: str,
-                         relative_query: str, params: dict) -> list[str]:
-        out: list[str] = []
-        for node in index.get(value, []):
-            result = self._xquery.execute(relative_query, self._collection,
-                                          variables=dict(params),
-                                          context_item=node)
-            out.extend(normalize_result(result))
         return out
 
     # -- update workload -------------------------------------------------------

@@ -6,11 +6,12 @@ import pytest
 
 from repro.core.indexes import indexes_for
 from repro.engines import (
+    PAPER_ENGINE_KEYS,
     NativeEngine,
     SqlServerEngine,
     XCollectionEngine,
     XColumnEngine,
-    make_engines,
+    create,
 )
 from repro.errors import (
     BenchmarkError,
@@ -29,15 +30,11 @@ def load(engine, corpus):
 
 class TestEngineRegistry:
     def test_four_engines_paper_order(self):
-        labels = [engine.row_label for engine in make_engines()]
+        labels = [create(key).row_label for key in PAPER_ENGINE_KEYS]
         assert labels == ["Xcolumn", "Xcollection", "SQL Server",
                           "X-Hive"]
 
-    def test_fresh_instances(self):
-        assert make_engines()[0] is not make_engines()[0]
-
     def test_create_by_key(self):
-        from repro.engines import PAPER_ENGINE_KEYS, create
         for key in PAPER_ENGINE_KEYS:
             engine = create(key)
             assert engine.key == key
@@ -45,14 +42,13 @@ class TestEngineRegistry:
         assert create("native") is not create("native")
 
     def test_create_unknown_key_lists_choices(self):
-        from repro.engines import create
         from repro.errors import EngineError
         with pytest.raises(EngineError) as excinfo:
             create("tamino")
         assert "native" in str(excinfo.value)
 
     def test_register_custom_factory(self):
-        from repro.engines import _REGISTRY, create, register
+        from repro.engines import _REGISTRY, register
         register("probe", NativeEngine)
         try:
             assert isinstance(create("probe"), NativeEngine)
@@ -259,7 +255,7 @@ class TestCrossEngineAgreement:
         params = bind_params(qid, key, corpus["units"])
         oracle = None
         outcomes = {}
-        for engine in make_engines():
+        for engine in map(create, PAPER_ENGINE_KEYS):
             try:
                 engine.check_supported(corpus["class"], "small")
             except UnsupportedConfiguration:
@@ -291,7 +287,7 @@ class TestCrossEngineAgreement:
         corpus = small_corpora["dcmd"]
         params = bind_params("Q5", "dcmd", corpus["units"])
         results = {engine.row_label: load(engine, corpus).execute(
-            "Q5", params) for engine in make_engines()
+            "Q5", params) for engine in map(create, PAPER_ENGINE_KEYS)
             if not isinstance(engine, XColumnEngine)}
         assert len({tuple(values) for values in results.values()}) == 1
 

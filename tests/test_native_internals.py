@@ -66,9 +66,6 @@ class TestAcceleratedPlans:
         monkeypatch.setattr(
             engine, "_run_index_plan",
             lambda *a, **k: pytest.fail("MD class used a planner probe"))
-        monkeypatch.setattr(
-            engine, "_run_accelerated",
-            lambda *a, **k: pytest.fail("MD class used acceleration"))
         engine.execute("Q5", bind_params("Q5", "dcmd", 30))
 
     def test_same_named_tags_at_different_paths_index_separately(self):

@@ -1,4 +1,4 @@
-"""Index-aware planner tests: override-table subsumption, eligibility."""
+"""Index-aware planner tests: workload index plans, eligibility."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.indexes import indexes_for
 from repro.engines import NativeEngine
-from repro.engines.native import _ACCELERATED
 from repro.engines.planner import IndexProbePlan, QueryPlanner, ScanPlan
 from repro.workload import bind_params
 from repro.workload.queries import QUERIES_BY_ID
@@ -30,15 +29,33 @@ def plan_text(text: str, index_paths, documents):
     return planner.plan(compiled.expression)
 
 
-class TestOverrideTableSubsumption:
-    """The planner must derive every legacy `_ACCELERATED` entry on its
-    own — same index, same parameter — without consulting the table."""
+#: the workload's indexable single-document point queries:
+#: (qid, class) -> (index path the planner must probe, bound parameter).
+#: These were the native engine's hand-written override table until the
+#: planner derived every one of them from the AST.
+EXPECTED_INDEX_PLANS = {
+    ("Q1", "dcsd"): ("item/@id", "id"),
+    ("Q5", "dcsd"): ("item/@id", "id"),
+    ("Q8", "dcsd"): ("item/@id", "id"),
+    ("Q12", "dcsd"): ("item/@id", "id"),
+    ("Q5", "tcsd"): ("hw", "word"),
+    ("Q8", "tcsd"): ("hw", "word"),
+    ("Q11", "tcsd"): ("hw", "word"),
+    ("Q12", "tcsd"): ("hw", "word"),
+}
 
-    @pytest.mark.parametrize("qid,class_key", sorted(_ACCELERATED))
+
+class TestWorkloadIndexPlans:
+    """The planner must derive each expected plan — same index, same
+    parameter — from the query text alone."""
+
+    @pytest.mark.parametrize("qid,class_key",
+                             sorted(EXPECTED_INDEX_PLANS))
     def test_planner_reproduces_entry(self, qid, class_key,
                                       small_corpora):
         engine = load(small_corpora[class_key])
-        expected_path, expected_param, _ = _ACCELERATED[(qid, class_key)]
+        expected_path, expected_param = \
+            EXPECTED_INDEX_PLANS[(qid, class_key)]
         text = QUERIES_BY_ID[qid].text_for(class_key)
         compiled = XQueryEngine().compile(text)
         planner = QueryPlanner(
@@ -52,7 +69,8 @@ class TestOverrideTableSubsumption:
         assert plan.index_path == expected_path
         assert plan.param == expected_param
 
-    @pytest.mark.parametrize("qid,class_key", sorted(_ACCELERATED))
+    @pytest.mark.parametrize("qid,class_key",
+                             sorted(EXPECTED_INDEX_PLANS))
     def test_index_plan_matches_collection_scan(self, qid, class_key,
                                                 small_corpora):
         """Probing + residual must return exactly what the full

@@ -10,14 +10,20 @@ with typed incidents instead of crashing.
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 import re
 import struct
 
 import pytest
 
-from repro.core.shard import ShardedEngine
-from repro.errors import RecoveryError, ShardError
+from repro.core.checkpoint import MANIFEST_FORMAT, MANIFEST_NAME
+from repro.core.shard import ShardedEngine, shard_of
+from repro.engines import create
+from repro.errors import FaultInjected, RecoveryError, ShardError
+from repro.faults.plan import FaultPlan, FaultRule, fault_scope
+from repro.obs import Recorder, observing
 
 UPDATE = ("order/@id", "order_status")
 
@@ -32,8 +38,8 @@ def corpus(small_corpora):
 
 def durable_engine(corpus, data_dir, **kwargs):
     kwargs.setdefault("fsync", "always")
-    engine = ShardedEngine("native", shards=2, data_dir=data_dir,
-                           **kwargs)
+    kwargs.setdefault("shards", 2)
+    engine = ShardedEngine("native", data_dir=data_dir, **kwargs)
     engine.timed_load(corpus["class"], list(corpus["texts"]))
     return engine
 
@@ -64,9 +70,10 @@ def ids_of(engine, order_id: str) -> list:
                         {"id": order_id}).values
 
 
-def wal_segments(data_dir, shard=0):
-    return sorted((data_dir / f"shard-{shard}" / "wal")
-                  .glob("seg-*.wal"))
+def wal_segments(data_dir):
+    """Segments of the engine's one log (it lives in the shard-0 slot
+    of the WAL layout)."""
+    return sorted((data_dir / "shard-0" / "wal").glob("seg-*.wal"))
 
 
 class TestKill9Recovery:
@@ -157,42 +164,134 @@ class TestKill9Recovery:
         with pytest.raises(RecoveryError):
             recovered_engine(tmp_path)
 
+    def test_older_manifest_format_is_refused(self, tmp_path):
+        # An rxck/1 directory kept one log per shard; reading it as
+        # one log would drop shard 1's structural writes.
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(
+            {"format": "rxck/1", "class": "dcmd", "engine": "native",
+             "shards": 2, "checkpoints": []}))
+        assert ShardedEngine.can_recover(tmp_path)
+        with pytest.raises(RecoveryError, match=MANIFEST_FORMAT):
+            recovered_engine(tmp_path)
+
     @pytest.mark.parametrize("seed", [3, 7])
     def test_restart_lands_exactly_at_committed_seq(self, corpus,
                                                     tmp_path, seed):
-        """Property: across random writes and repeated kill -9 +
-        recover cycles, the recovered sequence equals the last acked
-        sequence and the last acked value per id is the one read."""
+        """Property: across random inserts, deletes and value updates
+        on both shards and repeated kill -9 + recover cycles, the
+        recovered sequence equals the last acked sequence, and document
+        order and every value match a single-process native engine
+        that applied the same operations."""
         rng = random.Random(seed)
-        mirror: dict[str, str] = {}
-        last_seq = 0
+        oracle = create("native")
+        oracle.timed_load(corpus["class"], list(corpus["texts"]))
         engine = durable_engine(corpus, tmp_path)
+        names = {re.search(r'id="([^"]+)"', text).group(1): name
+                 for name, text in corpus["texts"]
+                 if name.startswith("order")}
+        template = next(text for name, text in corpus["texts"]
+                        if name.startswith("order")
+                        and "<comments>" in text)
+        structural_shards = set()
+
+        def apply(method, *args):
+            for target in (engine, oracle):
+                getattr(target, method)(*args)
+
         try:
-            for step in range(1, 13):
-                order_id = str(rng.randint(1, corpus["units"]))
-                token = f"tok{seed}x{step}"
-                last_seq = put(engine, order_id, token)
-                mirror[order_id] = token
-                if step in (4, 8):
+            for step in range(1, 19):
+                kind = rng.choice(("update", "update", "insert",
+                                   "delete"))
+                if kind == "insert":
+                    # Alternate the owning shard so the log interleaves
+                    # structural writes of both.
+                    name = next(
+                        candidate for candidate in
+                        (f"new{step}-{n}.xml" for n in itertools.count())
+                        if shard_of(candidate, 2) == step % 2)
+                    order_id = f"N{step}"
+                    apply("insert_document", name, re.sub(
+                        r'id="[^"]+"', f'id="{order_id}"', template,
+                        count=1))
+                    names[order_id] = name
+                    structural_shards.add(shard_of(name, 2))
+                elif kind == "delete":
+                    name = names.pop(rng.choice(sorted(names)))
+                    apply("delete_document", name)
+                    structural_shards.add(shard_of(name, 2))
+                else:
+                    apply("update_value", UPDATE[0],
+                          rng.choice(sorted(names)), UPDATE[1],
+                          f"tok{seed}x{step}")
+                last_seq = engine.committed_seq
+                assert last_seq == step
+                if step in (6, 12):
                     engine.abort()
                     engine = recovered_engine(tmp_path)
                     report = engine.last_recovery_report
                     assert report["committed_seq"] == last_seq
+            assert structural_shards == {0, 1}
             engine.abort()
             engine = recovered_engine(tmp_path)
             assert (engine.last_recovery_report["committed_seq"]
                     == last_seq)
             assert engine.durability_state()["committed_seq"] \
-                == last_seq == 12
-            for order_id, token in mirror.items():
-                assert token in status_of(engine, order_id)
+                == last_seq == 18
+            all_ids = "collection()/order/@id"
+            assert sorted(engine.adhoc(all_ids, {}).values) \
+                == sorted(oracle.adhoc(all_ids, {}).values) \
+                == sorted(names)
+            # Document order = ordinal assignment.  Q17 merges
+            # per-document results by global ordinal (adhoc would
+            # concatenate shard by shard), and every comment contains
+            # the empty word: the ids of all commented orders — every
+            # inserted one among them — in document order.
+            document_order = engine.execute("Q17", {"word": ""})
+            assert document_order == oracle.execute("Q17", {"word": ""})
+            assert {order_id for order_id in names
+                    if order_id.startswith("N")} <= set(document_order)
+            for order_id in names:
+                assert status_of(engine, order_id) \
+                    == status_of(oracle, order_id)
         finally:
             engine.close()
+            oracle.close()
+
+    @pytest.mark.parametrize("site,lands", [("wal.append", False),
+                                            ("wal.fsync", True)])
+    def test_failed_log_write_is_all_or_nothing(self, corpus, tmp_path,
+                                                site, lands):
+        """A disk fault fails the write un-acked.  With one log there
+        is one frame: it is on disk (fault after the write) or it is
+        not (fault before), and recovery's sequence and value agree."""
+        engine = durable_engine(corpus, tmp_path)
+        try:
+            put(engine, "1", "tokA")
+            before = status_of(engine, "2")
+            plan = FaultPlan(seed=1, rules=[FaultRule(
+                site=site, kind="error", every=1, limit=1)])
+            with fault_scope(plan), pytest.raises(FaultInjected):
+                engine.update_value(UPDATE[0], "2", UPDATE[1], "tokB")
+        finally:
+            engine.abort()
+        recovered = recovered_engine(tmp_path)
+        try:
+            committed = recovered.last_recovery_report["committed_seq"]
+            value = status_of(recovered, "2")
+            if lands:
+                assert committed == 2 and "tokB" in value
+            else:
+                assert committed == 1 and value == before
+            assert "tokA" in status_of(recovered, "1")
+            assert put(recovered, "3", "tokC") == committed + 1
+        finally:
+            recovered.close()
 
 
 class TestCorruptionHandling:
-    def corrupt_frame(self, path, frame_index):
-        """CRC-break one frame of a segment in place."""
+    def corrupt_frame(self, path, frame_index) -> int:
+        """CRC-break one frame of a segment in place; returns the
+        frame's byte offset."""
         data = bytearray(path.read_bytes())
         offset = _HEADER_SIZE
         for __ in range(frame_index):
@@ -200,28 +299,34 @@ class TestCorruptionHandling:
             offset += _FRAME_HEADER.size + length
         data[offset + _FRAME_HEADER.size] ^= 0xFF
         path.write_bytes(bytes(data))
+        return offset
 
     def test_midlog_crc_reported_replay_continues(self, corpus,
                                                   tmp_path):
         engine = durable_engine(corpus, tmp_path)
         try:
+            before = status_of(engine, "2")
             for seq in range(1, 5):
                 put(engine, str(seq), f"tok{seq}")
         finally:
             engine.abort()
-        # Damage the second record of shard 0's log.  Every shard's
-        # WAL carries every update (updates scatter), so shard 1's
-        # intact copy still replays the write.
-        self.corrupt_frame(wal_segments(tmp_path, shard=0)[-1], 1)
+        # Damage the second record of the log: the write at seq 2.
+        (segment,) = wal_segments(tmp_path)
+        offset = self.corrupt_frame(segment, 1)
 
         recovered = recovered_engine(tmp_path)
         try:
             report = recovered.last_recovery_report
-            assert report["corrupt_records"] >= 1
+            assert report["corrupt_records"] == 1
+            assert report["wal_records"] == 3
             assert report["committed_seq"] == 4
-            assert any("WalCorruption" in incident
-                       for incident in recovered.incidents)
-            assert "tok4" in status_of(recovered, "4")
+            (incident,) = [incident for incident in recovered.incidents
+                           if "WalCorruption" in incident]
+            assert f"{segment}@{offset}" in incident
+            # The damaged record is the only loss.
+            assert status_of(recovered, "2") == before
+            for seq in (1, 3, 4):
+                assert f"tok{seq}" in status_of(recovered, str(seq))
         finally:
             recovered.close()
 
@@ -271,8 +376,30 @@ class TestCheckpointBounds:
             # seq 8: the WAL shrinks to (near) empty live segments.
             put(engine, "9", "tok9")
             engine.checkpoint()
-            assert engine.wal_disk_bytes() \
-                <= engine.shards * 2 * 4096
+            assert engine.wal_disk_bytes() <= 2 * 4096
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_one_append_one_fsync_per_acked_write(self, corpus,
+                                                  tmp_path, shards):
+        name, text = corpus["texts"][0]
+        engine = durable_engine(corpus, tmp_path, shards=shards)
+        try:
+            writes = (
+                lambda: engine.insert_document(
+                    "zzz9.xml",
+                    re.sub(r'id="[^"]+"', 'id="ZZZ9"', text, count=1)),
+                lambda: engine.delete_document(name),
+                lambda: put(engine, "ZZZ9", "tokZ"),
+            )
+            for write in writes:
+                with observing(Recorder()) as recorder:
+                    write()
+                assert recorder.counters.get("wal.appends") == 1
+                assert recorder.counters.get("wal.fsyncs") == 1
+            assert [path.name for path in tmp_path.glob("shard-*")] \
+                == ["shard-0"]
         finally:
             engine.close()
 

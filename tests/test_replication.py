@@ -233,11 +233,10 @@ class TestJournalShipping:
             # Re-ship the same journal batch by hand: the worker must
             # skip the already-applied sequence, not re-apply it.
             worker = engine._replica_rows[0][0]
-            entries = list(engine._states[0].journal)
-            entries.extend(engine._states[1].journal)
+            entries = engine._journal_for(0)
+            assert [seq for seq, __ in entries] == [1]
             applied = engine._call_worker(
-                worker, ("replay", engine.committed_seq,
-                         sorted(entries)))
+                worker, ("replay", engine.committed_seq, entries))
             assert applied == engine.committed_seq
             assert status_of(engine, "3", "eventual") \
                 == "<order_status>tokC</order_status>"

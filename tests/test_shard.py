@@ -214,17 +214,30 @@ class TestRobustness:
         assert not engine.loaded
 
 
-class TestShmTransport:
-    """Bulk-load corpora ship via shared memory by default; the pipe
-    carries only (segment, offset, length) triples."""
+def _no_shared_memory(size):
+    raise OSError("no shared memory on this host")
 
-    def test_shm_matches_pipe_transport(self, small_corpora):
+
+class TestShmTransport:
+    """Bulk-load corpora ship via shared memory; the pipe carries only
+    (segment, offset, length) triples.  A host where the segment cannot
+    be created gets inline pipe payloads and an incident."""
+
+    def test_shm_matches_pipe_transport(self, small_corpora,
+                                        monkeypatch):
         corpus = small_corpora["dcmd"]
-        via_shm = load_sharded(corpus, shards=2, transport="shm")
-        via_pipe = load_sharded(corpus, shards=2, transport="pipe")
+        via_shm = load_sharded(corpus, shards=2)
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.core.shm.OwnedSegment",
+                          _no_shared_memory)
+            via_pipe = load_sharded(corpus, shards=2)
         try:
             assert via_shm.last_load_report["transport"] == "shm"
             assert via_pipe.last_load_report["transport"] == "pipe"
+            assert via_pipe.last_load_report["segment_bytes"] == 0
+            assert any("falling back to pipe transport" in note
+                       for note in via_pipe.incidents)
+            assert via_shm.incidents == []
             assert via_shm.last_load_report["segment_bytes"] > 0
             for worker in via_shm.last_load_report["workers"]:
                 assert worker["attach_seconds"] >= 0
@@ -236,14 +249,10 @@ class TestShmTransport:
             via_shm.close()
             via_pipe.close()
 
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(ShardError):
-            ShardedEngine("native", shards=2, transport="carrier-pigeon")
-
     def test_segment_unlinked_on_close(self, small_corpora):
         from multiprocessing import shared_memory
         corpus = small_corpora["dcmd"]
-        engine = load_sharded(corpus, shards=2, transport="shm")
+        engine = load_sharded(corpus, shards=2)
         segment_name = engine._segment.name
         shared_memory.SharedMemory(name=segment_name).close()
         engine.close()
@@ -253,7 +262,7 @@ class TestShmTransport:
     def test_respawn_reattaches_segment(self, small_corpora):
         corpus = small_corpora["dcmd"]
         oracle = load_oracle(corpus)
-        sharded = load_sharded(corpus, shards=2, transport="shm")
+        sharded = load_sharded(corpus, shards=2)
         try:
             # Post-load insert rides inline as a respawn-replayed
             # extra; the original corpus is re-read from the segment.
@@ -278,7 +287,7 @@ class TestShmTransport:
     def test_worker_crash_does_not_unlink_segment(self, small_corpora):
         from multiprocessing import shared_memory
         corpus = small_corpora["dcmd"]
-        sharded = load_sharded(corpus, shards=2, transport="shm")
+        sharded = load_sharded(corpus, shards=2)
         try:
             segment_name = sharded._segment.name
             for worker in list(sharded._workers):
@@ -291,19 +300,21 @@ class TestShmTransport:
         finally:
             sharded.close()
 
-    def test_shm_ships_fewer_pipe_bytes(self, small_corpora):
+    def test_shm_ships_fewer_pipe_bytes(self, small_corpora,
+                                        monkeypatch):
         from repro.obs import Recorder, observing
         corpus = small_corpora["dcmd"]
 
-        def load_bytes(transport):
+        def load_bytes():
             with observing(Recorder()) as recorder:
-                engine = load_sharded(corpus, shards=2,
-                                      transport=transport)
+                engine = load_sharded(corpus, shards=2)
                 engine.close()
                 return recorder.counters.get("shard.pipe_bytes")
 
-        shm_bytes = load_bytes("shm")
-        pipe_bytes = load_bytes("pipe")
+        shm_bytes = load_bytes()
+        monkeypatch.setattr("repro.core.shm.OwnedSegment",
+                            _no_shared_memory)
+        pipe_bytes = load_bytes()
         assert shm_bytes > 0 and pipe_bytes > 0
         assert shm_bytes * 10 <= pipe_bytes, (
             f"shm load shipped {shm_bytes} pipe bytes vs "

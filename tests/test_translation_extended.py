@@ -10,7 +10,6 @@ from repro.engines import (
     SqlServerEngine,
     XCollectionEngine,
     XColumnEngine,
-    make_engines,
 )
 from repro.engines.translation import PLANS, has_plan
 from repro.errors import UnsupportedConfiguration

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.indexes import indexes_for
 from repro.engines import NativeEngine, SqlServerEngine, \
-    XCollectionEngine, XColumnEngine, make_engines
+    XCollectionEngine, XColumnEngine
 from repro.errors import BenchmarkError, UnsupportedOperation
 from repro.workload import bind_params
 from repro.workload.updates import (
