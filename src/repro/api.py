@@ -9,9 +9,12 @@ at construction time, and ``to_wire``/``from_wire`` converters so the
 JSON framing layer stays dumb.
 
 The ``from_wire`` classmethods are the wire decoders: ``server.py``
-decodes every hello and query frame through them and
+decodes every hello, query and update frame through them and
 ``loadgen/client.py`` every reply, filling absent fields with the
-dataclass defaults.  In-process code constructs the dataclasses directly.
+dataclass defaults.  A present field of the wrong type (a string
+``deadline``, list ``params``, non-integer ``units``) raises
+:class:`~repro.errors.BadRequest` rather than a bare ``ValueError``.
+In-process code constructs the dataclasses directly.
 
 The module also owns the consistency-tier vocabulary for replica reads
 (see ``docs/replication.md``):
@@ -34,11 +37,12 @@ requests, the client serializes them).
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from .errors import ConsistencyError
+from .errors import BadRequest, ConsistencyError
 
 CONSISTENCY_TIERS = ("strong", "read_your_writes", "bounded_staleness",
                      "eventual")
@@ -117,9 +121,13 @@ class Consistency:
             raise ConsistencyError(
                 f"consistency wire form must be a dict, got "
                 f"{type(wire).__name__}")
-        return cls(tier=wire.get("tier", "strong"),
-                   max_lag=int(wire.get("max_lag", 0)),
-                   min_seq=int(wire.get("min_seq", 0)))
+        try:
+            return cls(tier=wire.get("tier", "strong"),
+                       max_lag=int(wire.get("max_lag", 0)),
+                       min_seq=int(wire.get("min_seq", 0)))
+        except (TypeError, ValueError) as exc:
+            raise ConsistencyError(
+                f"bad consistency wire form {wire!r}: {exc}") from None
 
 
 STRONG = Consistency(tier="strong")
@@ -152,6 +160,33 @@ def consistency_scope(consistency):
         yield resolved
     finally:
         _SCOPE.value = previous
+
+
+def _wire_int(payload: dict, key: str, default: int) -> int:
+    value = payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadRequest(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _wire_str(payload: dict, key: str, default: str | None) -> str | None:
+    value = payload.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise BadRequest(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+def _wire_seconds(payload: dict, key: str) -> float | None:
+    value = payload.get(key)
+    if value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise BadRequest(
+            f"{key!r} must be a number of seconds, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -197,15 +232,16 @@ class SessionOptions:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "SessionOptions":
-        # Decodes a hello frame; absent fields take the session defaults.
-        return cls(engine=payload.get("engine", "native"),
-                   class_key=payload.get("class", "dcsd"),
-                   units=int(payload.get("units", 50)),
-                   shards=int(payload.get("shards", 0)),
-                   replicas=int(payload.get("replicas", 0)),
-                   tenant=str(payload.get("tenant", "default")),
+        # Decodes a hello frame; absent fields take the session defaults
+        # and a mistyped one is a BadRequest.
+        return cls(engine=_wire_str(payload, "engine", "native"),
+                   class_key=_wire_str(payload, "class", "dcsd"),
+                   units=_wire_int(payload, "units", 50),
+                   shards=_wire_int(payload, "shards", 0),
+                   replicas=_wire_int(payload, "replicas", 0),
+                   tenant=_wire_str(payload, "tenant", "default"),
                    consistency=Consistency.parse(payload.get("consistency")),
-                   deadline=payload.get("deadline"),
+                   deadline=_wire_seconds(payload, "deadline"),
                    trace=bool(payload.get("trace", False)))
 
 
@@ -242,12 +278,16 @@ class QueryRequest:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "QueryRequest":
-        # Decodes a query frame; absent fields take the request defaults.
+        # Decodes a query (or update) frame; absent fields take the
+        # request defaults and a mistyped one is a BadRequest.
         consistency = payload.get("consistency")
+        params = payload.get("params") or {}
+        if not isinstance(params, dict):
+            raise BadRequest(f"'params' must be an object, got {params!r}")
         return cls(qid=str(payload.get("qid", "")),
-                   params=dict(payload.get("params") or {}),
-                   deadline=payload.get("deadline"),
-                   tenant=payload.get("tenant"),
+                   params=dict(params),
+                   deadline=_wire_seconds(payload, "deadline"),
+                   tenant=_wire_str(payload, "tenant", None),
                    consistency=(None if consistency is None
                                 else Consistency.parse(consistency)),
                    trace=bool(payload.get("trace", False)))

@@ -214,6 +214,15 @@ class ServerOverloaded(ServerError):
     """
 
 
+class BadRequest(ServerError):
+    """A request the server cannot decode: an unknown ``op``, a query
+    before the ``hello`` handshake, a field of the wrong type (a
+    non-numeric ``deadline``, ``params`` that are not an object, a
+    non-integer ``units``), or a frame body that is not a UTF-8 JSON
+    object.  Answered as a typed error; never executed.
+    """
+
+
 class ServerDraining(ServerError):
     """The server is shutting down gracefully (SIGTERM drain).
 

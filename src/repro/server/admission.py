@@ -27,8 +27,15 @@ policies are unit-testable without sockets or an event loop:
   idle tenant loses nothing (its virtual time is brought up to the
   global watermark when it returns, so it cannot hoard credit).
 
-All methods are single-threaded by design: the server drives the
-controller from its event loop, tests drive it directly.
+Locking rule: the controller holds no lock of its own, so every call
+— and every read or write of ``in_flight`` — must happen under one
+lock its owner supplies.  The server uses a single
+``threading.Condition``: the event loop calls :meth:`submit` (and
+notifies) under it; each executor thread calls :meth:`next_ready` and
+:meth:`drain_expired`, bumps ``in_flight``, and later decrements it
+and calls :meth:`note_service_time`, all under it; ``stats`` takes
+:meth:`snapshot` under it.  No engine work runs while it is held.
+Tests drive the controller directly from one thread.
 """
 
 from __future__ import annotations

@@ -49,8 +49,11 @@ Requests carry an ``op``:
 Responses are ``{"ok": true, ...}`` or a typed error
 ``{"ok": false, "error": "<TypeName>", "message": "..."}`` whose
 ``error`` field names an exception type from :mod:`repro.errors`
-(``ServerOverloaded``, ``ServerDraining``, ``QueryTimeout``, ...), so
-clients classify outcomes without parsing prose.
+(``ServerOverloaded``, ``ServerDraining``, ``QueryTimeout``,
+``BadRequest``, ...), so clients classify outcomes without parsing
+prose.  A frame whose body is not a UTF-8 JSON object is answered with
+``BadRequest`` and the connection closed; broken framing (a length
+beyond :data:`MAX_FRAME`, EOF mid-frame) closes it without a reply.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import json
 import socket
 import struct
 
-from ..errors import ServerError
+from ..errors import BadRequest, ServerError
 
 #: frame header: 4-byte big-endian unsigned payload length.
 _HEADER = struct.Struct(">I")
@@ -79,9 +82,16 @@ def encode_frame(message: dict) -> bytes:
 
 
 def _decode_body(body: bytes) -> dict:
-    message = json.loads(body.decode("utf-8"))
+    """A frame body as a message; anything but a UTF-8 JSON object is
+    a typed :class:`~repro.errors.BadRequest`."""
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:     # incl. UnicodeError
+        raise BadRequest(
+            f"protocol violation: frame body is not UTF-8 JSON "
+            f"({exc})") from None
     if not isinstance(message, dict):
-        raise ServerError(
+        raise BadRequest(
             f"protocol violation: expected a JSON object, got "
             f"{type(message).__name__}")
     return message

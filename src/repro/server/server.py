@@ -9,19 +9,31 @@ length-prefixed JSON protocol of :mod:`~repro.server.protocol`, and
 runs every query through the admission-controlled weighted-fair queue
 of :mod:`~repro.server.admission`.
 
-Flow of one query::
+Flow of one query (``║`` = under the admission lock)::
 
-    client ── hello ──────────▶ engine cache (load once, reuse warm)
-    client ── query ──────────▶ AdmissionController.submit
-                                  │ full / doomed deadline ──▶ typed
-                                  │                            ServerOverloaded
-                                  ▼
-                            weighted-fair dequeue (dispatcher task)
-                                  │ deadline expired in queue ─▶ typed
-                                  ▼                              QueryTimeout
-                            executor thread: deadline_scope(engine.execute)
-                                  ▼
-    client ◀── {ok, rows, seconds, queued_ms} ── future
+    client ── hello ──▶ engine cache (load once, reuse warm)
+    client ── query ──▶ event loop: decode ─▶ ║ submit + notify
+                                                │ full / doomed deadline
+                                                │   ─▶ typed ServerOverloaded
+                                                ▼
+                        executor thread ║ next_ready + drain_expired,
+                        (one of N,      ║ in_flight += 1
+                         long-lived)        │ expired in queue ─▶ typed
+                                            │                   QueryTimeout
+                                            ▼
+                                deadline_scope(engine.execute)
+                                            │
+                                        ║ in_flight -= 1, EWMA
+                                            ▼
+                          loop.call_soon_threadsafe(_finish)
+                                            ▼
+    client ◀── {ok, rows, seconds, queued_ms} ── event loop: counters,
+                                                 queue span, reply
+
+The event loop only frames, decodes and admits; the ``executors``
+threads take work straight from the admission queue and hand each
+outcome back with exactly one thread-safe callback, so a served
+request costs one loop wake-up beyond its socket reads and writes.
 
 Backpressure rides the PR 5 machinery: a request's wire ``deadline``
 becomes a :class:`~repro.faults.deadline.Deadline` at admission time,
@@ -41,8 +53,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import sys
 import threading
 import time
+import traceback
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -55,12 +69,12 @@ from ..api import (
 from ..databases import CLASSES_BY_KEY
 from ..engines import create, engine_keys
 from ..errors import (
+    BadRequest,
     QueryTimeout,
     ReproError,
     ServerDraining,
     ServerError,
     ServerOverloaded,
-    ShardError,
     UnsupportedOperation,
     UnsupportedQuery,
 )
@@ -175,7 +189,8 @@ class ServerConfig:
 class _EngineCache:
     """Warm engines keyed by :class:`EngineSpec`, LRU-bounded.
 
-    Loads run on executor threads (they can take seconds); the lock
+    Loads run on the event loop's default thread pool, off the loop
+    (they can take seconds); the lock
     serializes loads and keeps eviction consistent.  Evicted engines
     are closed, which reaps a sharded engine's worker processes.
     """
@@ -376,13 +391,19 @@ class QueryServer:
             capacity=self.config.max_queue,
             weights=dict(self.config.tenant_weights),
             executors=self.config.executors)
+        #: guards ``admission`` (and ``_draining`` / ``_executors_live``)
+        #: between the event loop, which submits, and the executor
+        #: threads, which dequeue and account; waited on by idle
+        #: executors.
+        self._cond = threading.Condition()
         self._cache = _EngineCache(self.config)
         self._server: asyncio.AbstractServer | None = None
-        self._pool = None               # ThreadPoolExecutor, lazy
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._work = asyncio.Event()
         self._draining = False
-        self._dispatchers: list[asyncio.Task] = []
+        self._executors: list[threading.Thread] = []
+        self._executors_live = 0
+        #: resolved by the last executor thread to exit after a drain.
+        self._drained: asyncio.Future | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._sessions = 0
         self.port: int | None = None
@@ -404,12 +425,8 @@ class QueryServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind, preload the default engine, start dispatchers."""
-        from concurrent.futures import ThreadPoolExecutor
+        """Bind, preload the default engine, start executor threads."""
         self._loop = asyncio.get_running_loop()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.executors,
-            thread_name_prefix="repro-serve")
         if self.config.trace or self.config.trace_spans is not None:
             self.recorder = _obs.Recorder(name="serve")
             _obs.install(self.recorder)
@@ -427,23 +444,29 @@ class QueryServer:
                 lambda: [os.getpid()] + self._cache.worker_pids())
             self.sampler.start()    # calibrates on first start
         self.started_at = time.monotonic()
-        self._dispatchers = [
-            asyncio.ensure_future(self._dispatch_loop())
-            for __ in range(self.config.executors)]
+        self._drained = self._loop.create_future()
+        self._executors_live = self.admission.executors
+        self._executors = [
+            threading.Thread(target=self._executor_loop, daemon=True,
+                             name=f"repro-serve_{index}")
+            for index in range(self.admission.executors)]
+        for thread in self._executors:
+            thread.start()
 
     async def serve_until_drained(self) -> None:
         """Serve until :meth:`request_drain` finishes the queue.
 
-        The dispatcher tasks only return once draining was requested
-        and every admitted request has been settled, so awaiting them
-        *is* the drain barrier."""
-        await asyncio.gather(*self._dispatchers)
+        Executor threads only exit once draining was requested and the
+        queue is empty, and each posts its last outcome before it
+        leaves, so the future the last one resolves *is* the drain
+        barrier: every admitted request has been settled."""
+        await self._drained
+        for thread in self._executors:
+            thread.join()
         await self._close_connections()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
         if self.sampler is not None:
             self.sampler.stop()
         if self.recorder is not None:
@@ -462,10 +485,11 @@ class QueryServer:
         Safe to call from a signal handler on the server's loop."""
         if self._draining:
             return
-        self._draining = True
+        with self._cond:
+            self._draining = True
+            self._cond.notify_all()
         if self._server is not None:
             self._server.close()
-        self._work.set()
 
     async def _close_connections(self) -> None:
         for writer in list(self._writers):
@@ -557,11 +581,19 @@ class QueryServer:
             while True:
                 try:
                     message = await read_message(reader)
+                except BadRequest as exc:
+                    # A whole frame arrived but its body is not a JSON
+                    # object: answer it, then close.
+                    reply, done = error_response(exc), True
                 except ServerError:
-                    break
-                if message is None:
-                    break
-                reply, done = await self._respond(message, session)
+                    break               # broken framing: nothing to answer
+                else:
+                    if message is None:
+                        break
+                    try:
+                        reply, done = await self._respond(message, session)
+                    except Exception as exc:  # noqa: BLE001 - counted
+                        reply, done = self._internal_error(exc), True
                 if isinstance(reply, tuple):
                     session, reply = reply
                 try:
@@ -593,8 +625,7 @@ class QueryServer:
             return await self._on_query(message, session), False
         if op == "update":
             return await self._on_update(message, session), False
-        return error_response(
-            "BadRequest", f"unknown op {op!r}"), True
+        return error_response(BadRequest(f"unknown op {op!r}")), True
 
     async def _on_hello(self, message: dict):
         if self._draining:
@@ -623,8 +654,7 @@ class QueryServer:
         session = _Session(spec, engine, tenant=options.tenant,
                            consistency=options.consistency)
         self._sessions += 1
-        self.counters["sessions"] += 1
-        _obs.count("server.sessions")
+        self._count("sessions")
         reply = {"ok": True, "session": self._sessions, "warm": warm,
                  "engine": spec.engine, "class": spec.class_key,
                  "units": spec.units, "shards": spec.shards,
@@ -636,8 +666,8 @@ class QueryServer:
     async def _on_query(self, message: dict,
                         session: _Session | None) -> dict:
         if session is None:
-            return error_response("BadRequest",
-                                  "query before hello handshake")
+            return error_response(
+                BadRequest("query before hello handshake"))
         if self._draining:
             self.counters["refused_draining"] += 1
             return error_response(
@@ -658,16 +688,13 @@ class QueryServer:
         if not params:
             params = dict(bind_params(qid, session.spec.class_key,
                                       session.spec.units))
-        deadline_seconds = (parsed.deadline
-                            if parsed.deadline is not None
-                            else self.config.default_deadline)
-        tenant = str(parsed.tenant or session.tenant)
+        tenant = parsed.tenant or session.tenant
         trace_id, root = self._open_trace(message, qid, tenant)
         pending = _Pending(session, qid, dict(params), tenant,
                            self._loop.create_future(),
                            consistency=parsed.consistency,
                            trace_id=trace_id, root=root)
-        return await self._admit(pending, deadline_seconds)
+        return await self._admit(pending, parsed.deadline)
 
     async def _on_update(self, message: dict,
                          session: _Session | None) -> dict:
@@ -675,8 +702,8 @@ class QueryServer:
         queue the reads ride — an update that returns ``ok`` has been
         committed on every shard (and journaled for the replicas)."""
         if session is None:
-            return error_response("BadRequest",
-                                  "update before hello handshake")
+            return error_response(
+                BadRequest("update before hello handshake"))
         if self._draining:
             self.counters["refused_draining"] += 1
             return error_response(
@@ -684,36 +711,40 @@ class QueryServer:
                                "new updates"))
         id_value = str(message.get("id", "")).strip()
         if not id_value:
-            return error_response("BadRequest",
-                                  "update requires an 'id' field")
-        deadline_seconds = message.get("deadline",
-                                       self.config.default_deadline)
-        tenant = str(message.get("tenant") or session.tenant)
+            return error_response(
+                BadRequest("update requires an 'id' field"))
+        try:
+            # Same decoder as a query frame, for deadline and tenant.
+            parsed = QueryRequest.from_wire(message)
+        except ReproError as exc:
+            return error_response(exc)
+        tenant = parsed.tenant or session.tenant
         trace_id, root = self._open_trace(message, "UPDATE", tenant)
         pending = _Pending(session, "UPDATE", {}, tenant,
                            self._loop.create_future(), kind="update",
                            update_id=id_value,
                            update_value=message.get("value"),
                            trace_id=trace_id, root=root)
-        return await self._admit(pending, deadline_seconds)
+        return await self._admit(pending, parsed.deadline)
 
     async def _admit(self, pending: _Pending,
-                     deadline_seconds) -> dict:
-        """Submit one parsed request to admission and await its reply."""
-        deadline = (Deadline(float(deadline_seconds))
+                     deadline_seconds: float | None) -> dict:
+        """Submit one decoded request to admission, wake an idle
+        executor thread, and await the reply it posts back."""
+        if deadline_seconds is None:
+            deadline_seconds = self.config.default_deadline
+        deadline = (Deadline(deadline_seconds)
                     if deadline_seconds is not None else None)
-        self.counters["queries"] += 1
-        _obs.count("server.queries")
+        self._count("queries")
         request = Request(tenant=pending.tenant, payload=pending,
                           deadline=deadline)
         try:
-            self.admission.submit(request)
+            with self._cond:
+                self.admission.submit(request)
+                self._cond.notify()
         except ServerOverloaded as exc:
-            self.counters["rejected"] += 1
-            _obs.count("server.rejected")
+            self._count("rejected")
             self._settle(pending, error_response(exc))
-            return await pending.future
-        self._work.set()
         return await pending.future
 
     def _open_trace(self, message: dict, qid: str, tenant: str):
@@ -739,72 +770,85 @@ class QueryServer:
 
     # -- dispatch ------------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
+    def _executor_loop(self) -> None:
+        """Body of one executor thread: take the next admitted request
+        straight from the admission queue, run it, and post its outcome
+        to the event loop with one thread-safe callback; exit once a
+        drain has emptied the queue."""
+        cond, admission = self._cond, self.admission
+        post = self._loop.call_soon_threadsafe
         while True:
-            request = self.admission.next_ready()
-            for expired in self.admission.drain_expired():
-                self._settle_expired(expired)
+            with cond:
+                while True:
+                    request = admission.next_ready()
+                    expired = admission.drain_expired()
+                    if request is not None or expired:
+                        break
+                    if self._draining:
+                        self._executors_live -= 1
+                        if not self._executors_live:
+                            post(self._drained.set_result, None)
+                        return
+                    cond.wait()
+                if request is not None:
+                    admission.in_flight += 1
+            if expired:
+                post(self._settle_expired, expired)
             if request is None:
-                if self._draining and self.admission.size == 0:
-                    return
-                self._work.clear()
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(self._work.wait(),
-                                           timeout=0.1)
                 continue
-            await self._run_request(request)
+            queued = request.queued_seconds(time.monotonic())
+            dequeued = time.perf_counter()
+            try:
+                outcome = self._execute(request.payload, request.deadline)
+            except Exception as exc:  # noqa: BLE001 - classified in _finish
+                outcome = exc
+            with cond:
+                admission.in_flight -= 1
+                if not isinstance(outcome, Exception):
+                    admission.note_service_time(outcome[1])
+            post(self._finish, request.payload, queued, dequeued, outcome)
 
-    def _settle_expired(self, request: Request) -> None:
-        pending: _Pending = request.payload
-        self.counters["timeouts"] += 1
-        _obs.count("server.expired_in_queue")
-        self._settle(pending, error_response(QueryTimeout(
-            "deadline expired while queued",
-            budget_seconds=request.deadline.budget,
-            trace_id=pending.trace_id)))
+    def _settle_expired(self, requests: list[Request]) -> None:
+        for request in requests:
+            pending: _Pending = request.payload
+            self.counters["timeouts"] += 1
+            _obs.count("server.expired_in_queue")
+            self._settle(pending, error_response(QueryTimeout(
+                "deadline expired while queued",
+                budget_seconds=request.deadline.budget,
+                trace_id=pending.trace_id)))
 
-    async def _run_request(self, request: Request) -> None:
-        pending: _Pending = request.payload
-        queued_ms = request.queued_seconds(time.monotonic()) * 1000.0
+    def _finish(self, pending: _Pending, queued: float, dequeued: float,
+                outcome) -> None:
+        """Settle one executed request on the loop thread.
+
+        ``outcome`` is :meth:`_execute`'s result tuple or the exception
+        it raised; ``queued`` is the admission wait in seconds and
+        ``dequeued`` the ``perf_counter`` instant it ended."""
         if pending.root is not None:
             # Admission wait is only known at dequeue; backfill it as a
-            # finished span ending now, under the request root.
-            end = time.perf_counter()
+            # finished span ending there, under the request root.
             self.recorder.tracer.record_span(
-                "server.queue", start=end - queued_ms / 1000.0,
-                end=end, parent_id=pending.root.span_id,
+                "server.queue", start=dequeued - queued, end=dequeued,
+                parent_id=pending.root.span_id,
                 trace_id=pending.trace_id, tenant=pending.tenant)
-        self.admission.in_flight += 1
-        try:
-            rows, seconds, partial, ttfr, seq = \
-                await self._loop.run_in_executor(
-                    self._pool, self._execute, pending, request.deadline)
-        except QueryTimeout as exc:
-            self.counters["timeouts"] += 1
-            _obs.count("server.timeouts")
-            self._settle(pending, error_response(exc))
+        if isinstance(outcome, QueryTimeout):
+            self._count("timeouts")
+            self._settle(pending, error_response(outcome))
             return
-        except (ShardError, UnsupportedQuery, ReproError) as exc:
-            self.counters["failed"] += 1
-            _obs.count("server.failed")
-            self._settle(pending, error_response(exc))
+        if isinstance(outcome, ReproError):
+            self._count("failed")
+            self._settle(pending, error_response(outcome))
             return
-        except Exception as exc:  # noqa: BLE001 - counted, typed reply
-            self.counters["unhandled"] += 1
-            _obs.count("server.unhandled")
-            self._settle(pending, error_response(
-                "InternalError", f"{type(exc).__name__}: {exc}"))
+        if isinstance(outcome, Exception):
+            self._settle(pending, self._internal_error(outcome))
             return
-        finally:
-            self.admission.in_flight -= 1
-        self.admission.note_service_time(seconds)
-        self.counters["completed"] += 1
+        rows, seconds, partial, ttfr, seq = outcome
+        self._count("completed")
         if partial:
-            self.counters["partials"] += 1
-            _obs.count("server.partials")
+            self._count("partials")
         self.per_tenant[pending.tenant] = (
             self.per_tenant.get(pending.tenant, 0) + 1)
-        _obs.count("server.completed")
         _obs.record_latency("server.service", seconds)
         _obs.record_latency("server.ttfr", ttfr)
         if pending.kind == "update" and seq:
@@ -814,12 +858,25 @@ class QueryServer:
                                            seq)
         reply = {
             "ok": True, "qid": pending.qid, "rows": rows,
-            "seconds": seconds, "queued_ms": queued_ms,
+            "seconds": seconds, "queued_ms": queued * 1000.0,
             "ttfr_ms": ttfr * 1000.0,
             "tenant": pending.tenant, "partial": partial}
         if seq:
             reply["seq"] = seq
         self._settle(pending, reply)
+
+    def _count(self, key: str) -> None:
+        """Bump one outcome counter and its ``server.<key>`` metric."""
+        self.counters[key] += 1
+        _obs.count(f"server.{key}")
+
+    def _internal_error(self, exc: Exception) -> dict:
+        """Count an exception no typed path caught, log its traceback,
+        and shape the ``InternalError`` reply the client still gets."""
+        self._count("unhandled")
+        traceback.print_exception(exc, file=sys.stderr)
+        return error_response("InternalError",
+                              f"{type(exc).__name__}: {exc}")
 
     def _execute(self, pending: _Pending, deadline: Deadline | None):
         """Run one admitted request on an executor thread.
@@ -928,7 +985,8 @@ class QueryServer:
 
     def stats(self) -> dict:
         snapshot = dict(self.counters)
-        snapshot["admission"] = self.admission.snapshot()
+        with self._cond:
+            snapshot["admission"] = self.admission.snapshot()
         snapshot["per_tenant"] = dict(self.per_tenant)
         snapshot["draining"] = self._draining
         snapshot["uptime_seconds"] = (

@@ -7,13 +7,17 @@ deadline cannot survive the predicted queue wait is rejected at
 admission (microseconds, not after a doomed queue ride); a request
 whose deadline expires *while* queued fails fast instead of executing;
 stride scheduling splits service between tenants in proportion to
-their weights; and a draining server finishes every admitted query
-before exiting.
+their weights; a draining server finishes every admitted query —
+in flight or still queued — before exiting; ``executors`` threads
+overlap requests while keeping exact accounting under contention; and
+a malformed frame or field gets one typed reply, never a bare
+traceback.
 """
 
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 
@@ -199,6 +203,173 @@ def test_unknown_query_is_typed_unsupported(server):
         reply = client.query("Q99")
         assert not reply["ok"]
         assert reply["error"] == "UnsupportedQuery"
+
+
+def _raw_frame(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+@pytest.mark.parametrize("hello, frame, error", [
+    (True, encode_frame({"op": "query", "qid": "Q5", "deadline": "abc"}),
+     "BadRequest"),
+    (True, encode_frame({"op": "query", "qid": "Q5", "params": "x"}),
+     "BadRequest"),
+    (True, encode_frame({"op": "query", "qid": "Q5", "tenant": ["t"]}),
+     "BadRequest"),
+    (True, encode_frame({"op": "update", "id": "1", "deadline": "soon"}),
+     "BadRequest"),
+    (True, encode_frame({"op": "query", "qid": "Q5", "consistency": {
+        "tier": "bounded_staleness", "max_lag": "x"}}),
+     "ConsistencyError"),
+    (False, encode_frame({"op": "hello", "units": "abc"}), "BadRequest"),
+    (False, encode_frame({"op": "hello", "class": ["dcmd"]}), "BadRequest"),
+    (False, _raw_frame(b"\xff\xfe{}"), "BadRequest"),
+    (False, _raw_frame(b"{not json"), "BadRequest"),
+    (False, _raw_frame(b"[1, 2]"), "BadRequest"),
+], ids=["query-deadline", "query-params", "query-tenant",
+        "update-deadline", "consistency-max-lag", "hello-units",
+        "hello-class", "body-not-utf8", "body-not-json",
+        "body-not-object"])
+def test_malformed_request_gets_one_typed_reply(server, hello, frame,
+                                                error):
+    unhandled = server.counters["unhandled"]
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=10.0) as sock:
+        if hello:
+            send_message(sock, {"op": "hello"})
+            assert recv_message(sock)["ok"]
+        sock.sendall(frame)
+        reply = recv_message(sock)
+    assert reply["ok"] is False
+    assert reply["error"] == error
+    assert reply["message"]
+    assert server.counters["unhandled"] == unhandled == 0
+
+
+def _concurrent_queries(server: QueryServer, count: int,
+                        **query) -> tuple[list[dict], float]:
+    """``count`` sessions send one Q5 each at the same instant; returns
+    the replies and the wall time until the last one arrived."""
+    replies: list[dict] = []
+    lock = threading.Lock()
+    barrier = threading.Barrier(count + 1)
+
+    def one() -> None:
+        with ServingClient(port=server.port) as client:
+            client.hello()
+            barrier.wait()
+            reply = client.query("Q5", **query)
+        with lock:
+            replies.append(reply)
+
+    workers = [threading.Thread(target=one) for __ in range(count)]
+    for worker in workers:
+        worker.start()
+    barrier.wait(timeout=30.0)
+    start = time.monotonic()
+    for worker in workers:
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+    return replies, time.monotonic() - start
+
+
+def test_executor_accounting_survives_contention():
+    """More executor threads and clients than cores, with the switch
+    interval shortened: a lost update of the shared admission or
+    outcome state would leave ``in_flight`` or a counter off."""
+    clients, each = 8, 25
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    server = start_server(executors=4)
+    try:
+        def hammer(index: int) -> None:
+            with ServingClient(port=server.port) as client:
+                client.hello(tenant=f"t{index % 3}")
+                for __ in range(each):
+                    assert client.query("Q5")["ok"]
+
+        workers = [threading.Thread(target=hammer, args=(index,))
+                   for index in range(clients)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+            assert not worker.is_alive()
+        total = clients * each
+        assert server.counters["completed"] == total
+        assert sum(server.per_tenant.values()) == total
+        with server._cond:
+            assert server.admission.in_flight == 0
+            assert server.admission.size == 0
+            assert server.admission.counters["admitted"] == total
+        assert server.counters["unhandled"] == 0
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop_background()
+
+
+@pytest.mark.parametrize("executors", [1, 2])
+def test_executor_threads_overlap_requests(executors):
+    server = start_server(executors=executors, throttle_seconds=0.2)
+    try:
+        replies, wall = _concurrent_queries(server, 2)
+        assert [reply["ok"] for reply in replies] == [True, True]
+        if executors == 2:
+            assert wall < 0.3               # both ran at once
+        else:
+            assert wall >= 0.4              # one after the other
+            assert max(reply["queued_ms"] for reply in replies) >= 150
+    finally:
+        server.stop_background()
+
+
+def test_drain_answers_requests_still_queued():
+    server = start_server(executors=1, throttle_seconds=0.2)
+    try:
+        result: list = []
+        driver = threading.Thread(
+            target=lambda: result.append(_concurrent_queries(server, 3)))
+        driver.start()
+        stop = time.monotonic() + 5.0
+        while server.admission.size < 2 and time.monotonic() < stop:
+            time.sleep(0.005)
+        assert server.admission.size == 2   # one in flight, two queued
+        server.stop_background()
+        driver.join(timeout=10.0)
+        replies, __ = result[0]
+        assert len(replies) == 3
+        assert all(reply["ok"] for reply in replies), replies
+        assert server.counters["completed"] == 3
+        assert server.counters["unhandled"] == 0
+    finally:
+        server.stop_background()
+
+
+def test_deadline_expiring_in_queue_is_a_typed_timeout():
+    server = start_server(executors=1, throttle_seconds=0.3)
+    try:
+        # No completion yet, so the EWMA cannot predict the wait and
+        # admission lets the doomed request in; it expires queued.
+        occupied = threading.Thread(target=_one_slow_query,
+                                    args=(server,))
+        occupied.start()
+        stop = time.monotonic() + 5.0
+        while server.admission.in_flight < 1 \
+                and time.monotonic() < stop:
+            time.sleep(0.005)
+        with ServingClient(port=server.port) as client:
+            client.hello()
+            reply = client.query("Q5", deadline=0.1)
+        occupied.join()
+        assert not reply["ok"]
+        assert reply["error"] == "QueryTimeout"
+        assert "while queued" in reply["message"]
+        assert server.counters["timeouts"] == 1
+        assert server.admission.counters["expired_in_queue"] == 1
+        assert server.counters["completed"] == 1
+        assert server.counters["unhandled"] == 0
+    finally:
+        server.stop_background()
 
 
 def test_burst_beyond_queue_is_shed_with_typed_rejection():
