@@ -235,11 +235,18 @@ class Element(Node):
                 yield node
 
     def text_content(self) -> str:
-        """Concatenated text of all descendant text nodes."""
-        parts = []
-        for node in self.descendants():
-            if isinstance(node, Text):
-                parts.append(node.text)
+        """The string value: the text of every descendant text node,
+        concatenated in document order.
+
+        One recursive pass over ``children`` appends to a single list;
+        an element whose only child is a text node returns that text
+        directly.  Nothing is cached, so edits need no invalidation.
+        """
+        children = self.children
+        if len(children) == 1 and type(children[0]) is Text:
+            return children[0].text
+        parts: list[str] = []
+        _collect_text(children, parts)
         return "".join(parts)
 
     string_value = text_content
@@ -305,7 +312,9 @@ class Document(Node):
         return child
 
     def string_value(self) -> str:
-        return self.root_element.text_content()
+        parts: list[str] = []
+        _collect_text(self.children, parts)
+        return "".join(parts)
 
     def refresh_order(self) -> int:
         """(Re)assign document-order keys to every node in the tree.
@@ -338,6 +347,17 @@ class Document(Node):
         return f"<Document {self.name or tag!r}>"
 
 
+def _collect_text(children: list[Node], parts: list[str]) -> None:
+    """Append the text of every text node under ``children``, in
+    document order, to ``parts``."""
+    for child in children:
+        kind = type(child)
+        if kind is Text:
+            parts.append(child.text)
+        elif kind is Element:
+            _collect_text(child.children, parts)
+
+
 def document_order(nodes: Iterable[Node]) -> list[Node]:
     """Sort nodes into document order, removing duplicates by identity.
 
@@ -346,12 +366,10 @@ def document_order(nodes: Iterable[Node]) -> list[Node]:
     defined; this implementation defines it as parse/creation order).
     Detached trees (constructed elements) sort after real documents.
     """
-    seen: set[int] = set()
-    unique: list[Node] = []
-    for node in nodes:
-        if id(node) not in seen:
-            seen.add(id(node))
-            unique.append(node)
+    # Nodes hash by identity, so a dict drops repeats and keeps order.
+    unique: list[Node] = list(dict.fromkeys(nodes))
+    if len(unique) <= 1:
+        return unique
 
     def key(node: Node) -> tuple:
         root = node.root()

@@ -180,6 +180,10 @@ class PathExpr:
 
     steps: list
     absolute: bool = False
+    # The evaluator's ``//``-fused copy of ``steps``, built on first
+    # evaluation; ``steps`` itself stays as parsed.
+    fused_steps: Optional[list] = field(default=None, compare=False,
+                                        repr=False)
 
 
 @dataclass

@@ -1,9 +1,31 @@
 """The XQuery evaluator: AST + context -> sequence.
 
 Evaluation is a straightforward tree walk.  Sequences are Python lists;
-path steps re-establish document order and remove duplicates after every
-step, as the XPath semantics require.  FLWOR expressions are evaluated as
-tuple streams of immutable child contexts.
+FLWOR expressions are evaluated as tuple streams of immutable child
+contexts.
+
+XPath defines every path step's result as a set of nodes in document
+order.  Re-sorting after every step would cost a sort per step per
+context node, and most of those sorts find the list already in order.
+So a path tracks whether its current sequence is *flat*: in document
+order, free of duplicates, and holding no ancestor of another member.
+These facts hold:
+
+* one node is flat, and so is a run of distinct documents in serial
+  order (what ``collection()`` returns);
+* a ``child``, ``attribute`` or ``self`` step over a flat input yields
+  a flat output, in input order: the inputs' subtrees are disjoint and
+  in order, so their children are too, and siblings never nest;
+* a ``descendant`` or ``descendant-or-self`` step over a flat input
+  yields document order without duplicates (the same disjoint
+  subtrees), though the output may nest;
+* any axis step from a single context node yields document order
+  without duplicates.
+
+A step sorts (``document_order``) only when none of these shows its
+output ordered: a multi-node step over a non-flat input, a multi-node
+``parent`` step, and a non-axis step whose nodes are not a document
+run.  Predicates keep a subsequence, so they preserve all of it.
 """
 
 from __future__ import annotations
@@ -302,33 +324,39 @@ def _compare_keys(left: object, right: object, spec: ast.OrderSpec) -> int:
         return 0
     if left is None:
         result = -1 if spec.empty_least else 1
-        return result if not spec.descending else result
-    if right is None:
+    elif right is None:
         result = 1 if spec.empty_least else -1
-        return result if not spec.descending else result
-    if compare_values("=", left, right):
+    elif compare_values("=", left, right):
         return 0
-    less = compare_values("<", left, right)
-    result = -1 if less else 1
+    else:
+        result = -1 if compare_values("<", left, right) else 1
+    # ``descending`` reverses the whole order, empty keys included.
     return -result if spec.descending else result
 
 
 # -- paths --------------------------------------------------------------------------
 
 def _eval_path(node: ast.PathExpr, context: Context) -> list:
-    steps = _fuse_descendant_steps(node.steps)
+    steps = node.fused_steps
+    if steps is None:
+        steps = node.fused_steps = _fuse_descendant_steps(node.steps)
     if node.absolute:
         item = context.require_item()
         if not isinstance(item, Node):
             raise XQueryTypeError("'/' requires a node context item")
         current: list = [item.root()]
-        remaining = steps
+        flat = True
+        first = 0
     else:
-        current = _eval_step(steps[0], [None], context, initial=True)
-        remaining = steps[1:]
+        current, flat = _eval_first_step(steps[0], context)
+        first = 1
 
-    for step in remaining:
-        current = _eval_step(step, current, context, initial=False)
+    for index in range(first, len(steps)):
+        step = steps[index]
+        if type(step) is ast.AxisStep:
+            current, flat = _eval_axis_step(step, current, flat, context)
+        else:
+            current, flat = _eval_expression_step(step, current, context)
     return current
 
 
@@ -342,6 +370,10 @@ def _fuse_descendant_steps(steps: list) -> list:
     per parent, which fusion would break).  The fused step avoids
     materializing the entire subtree and, for named tests, is answered
     straight from the document's tag map.
+
+    Runs once per :class:`~repro.xquery.ast.PathExpr`; the result is
+    kept in its ``fused_steps`` field, while ``steps`` stays unfused for
+    the planner and path compiler, which match the ``//`` pair.
     """
     fused: list = []
     index = 0
@@ -363,51 +395,97 @@ def _fuse_descendant_steps(steps: list) -> list:
     return fused
 
 
-def _eval_step(step: object, input_sequence: list, context: Context,
-               initial: bool) -> list:
-    results: list = []
-    any_node = False
-    any_atom = False
+# Axes whose output over a flat input is the per-node outputs
+# concatenated in input order, and is itself flat.
+_FLAT_AXES = frozenset(("child", "attribute", "self"))
+# ... and axes whose concatenated output over a flat input is merely in
+# document order and duplicate-free: descendant sets of a flat input
+# are disjoint subtrees, already in order, but may nest.
+_ORDERED_AXES = _FLAT_AXES | {"descendant", "descendant-or-self"}
 
-    if initial:
-        # First step of a relative path: evaluated against the outer focus.
-        if isinstance(step, ast.AxisStep):
-            item = context.require_item()
-            if not isinstance(item, Node):
-                raise XQueryTypeError("path step requires a node context")
-            selected = _axis_nodes(item, step)
-            results.extend(_apply_step_predicates(selected, step, context))
+
+def _eval_first_step(step: object, context: Context) -> tuple[list, bool]:
+    """The first step of a relative path, against the outer focus."""
+    if type(step) is ast.AxisStep:
+        item = context.require_item()
+        if not isinstance(item, Node):
+            raise XQueryTypeError("path step requires a node context")
+        return _eval_axis_step(step, [item], True, context)
+    return _step_result(evaluate(step, context))
+
+
+def _eval_axis_step(step: ast.AxisStep, input_sequence: list, flat: bool,
+                    context: Context) -> tuple[list, bool]:
+    """Apply one axis step to every input node; returns the result in
+    document order without duplicates, and whether it is flat.
+
+    The result is sorted only when order cannot be shown: ``flat`` says
+    the input is in document order, duplicate-free and holds no
+    ancestor of another member (see the module docstring).
+    """
+    filtered = bool(step.predicates) or _obs_plan() is not None
+    results: list = []
+    visited = 0
+    for item in input_sequence:
+        if not isinstance(item, Node):
+            raise XQueryTypeError("path step applied to an atomic value")
+        selected = _axis_nodes(item, step)
+        if filtered:
+            selected = _apply_step_predicates(selected, step, context)
+        else:
+            visited += len(selected)
+        results.extend(selected)
+    if input_sequence and not filtered:
+        _obs_count("xquery.nodes_visited", visited)
+
+    single = len(input_sequence) <= 1
+    if not single and not (flat and step.axis in _ORDERED_AXES):
+        results = document_order(results)
+    return results, (len(results) <= 1
+                     or ((single or flat) and step.axis in _FLAT_AXES))
+
+
+def _eval_expression_step(step: object, input_sequence: list,
+                          context: Context) -> tuple[list, bool]:
+    """A non-axis step (``$d/string()``, ``a/(b|c)``): the expression
+    once per input item, with that item as the focus."""
+    results: list = []
+    size = len(input_sequence)
+    for position, item in enumerate(input_sequence, start=1):
+        results.extend(evaluate(step, context.focus(item, position, size)))
+    return _step_result(results)
+
+
+def _step_result(results: list) -> tuple[list, bool]:
+    """Order an expression step's result: atomic values as they came,
+    nodes into document order unless they are a run of distinct
+    documents in serial order (as ``collection()`` returns them)."""
+    any_node = any_atom = False
+    for item in results:
+        if isinstance(item, Node):
             any_node = True
         else:
-            results = evaluate(step, context)
-            any_node = any(isinstance(i, Node) for i in results)
-            any_atom = any(not isinstance(i, Node) for i in results)
-    else:
-        size = len(input_sequence)
-        for position, item in enumerate(input_sequence, start=1):
-            if isinstance(step, ast.AxisStep):
-                if not isinstance(item, Node):
-                    raise XQueryTypeError(
-                        "path step applied to an atomic value")
-                selected = _axis_nodes(item, step)
-                results.extend(
-                    _apply_step_predicates(selected, step, context))
-                any_node = True
-            else:
-                focused = context.focus(item, position, size)
-                part = evaluate(step, focused)
-                any_node = any_node or any(isinstance(i, Node)
-                                           for i in part)
-                any_atom = any_atom or any(not isinstance(i, Node)
-                                           for i in part)
-                results.extend(part)
-
+            any_atom = True
     if any_node and any_atom:
         raise XQueryTypeError(
             "path step mixes nodes and atomic values")
-    if any_node:
-        return document_order(results)
-    return results
+    if not any_node:
+        return results, False
+    if len(results) == 1 or _is_document_run(results):
+        return results, True
+    results = document_order(results)
+    return results, len(results) <= 1
+
+
+def _is_document_run(nodes: list) -> bool:
+    """True for distinct documents in increasing serial order: that is
+    their document order, and no document contains another."""
+    previous = 0
+    for node in nodes:
+        if type(node) is not Document or node.serial <= previous:
+            return False
+        previous = node.serial
+    return True
 
 
 def _apply_step_predicates(nodes: list, step: ast.AxisStep,
@@ -443,8 +521,13 @@ def _filter_by_predicate(sequence: list, predicate: object,
 def _axis_nodes(node: Node, step: ast.AxisStep) -> list:
     axis, test = step.axis, step.test
     if axis == "child":
+        if test in _KIND_TESTS:
+            return [child for child in _children_of(node)
+                    if _matches(child, test)]
+        # A name test: children are never attributes, so only elements
+        # can match.
         return [child for child in _children_of(node)
-                if _matches(child, test)]
+                if type(child) is Element and child.tag == test]
     if axis == "descendant":
         fast = _fast_descendants(node, test)
         if fast is not None:
@@ -509,6 +592,10 @@ def _descendants_of(node: Node) -> list:
 
     visit(node)
     return out
+
+
+#: The node tests ``_matches`` handles specially; any other test is a name.
+_KIND_TESTS = frozenset(("node()", "text()", "comment()", "element()", "*"))
 
 
 def _matches(node: Node, test: str) -> bool:

@@ -224,6 +224,26 @@ class TestFLWOR:
             "return $x")
         assert result == [1, 3, 2]
 
+    def test_order_by_descending_empty_least(self):
+        # ``descending`` reverses the whole order: least goes last.
+        result = run_query(
+            "for $x in (1, 2, 3) "
+            "order by (if ($x = 2) then () else $x) descending "
+            "empty least return $x")
+        assert result == [3, 1, 2]
+        doc = parse_document("<r><a><k>2</k></a><a/><a><k>1</k></a></r>")
+        result = run_query(
+            "for $a in /r/a order by $a/k descending empty least "
+            "return if ($a/k) then number($a/k) else -1", [doc])
+        assert result == [2, 1, -1]
+
+    def test_order_by_descending_empty_greatest(self):
+        result = run_query(
+            "for $x in (1, 2, 3) "
+            "order by (if ($x = 2) then () else $x) descending "
+            "empty greatest return $x")
+        assert result == [2, 3, 1]
+
     def test_order_by_date_cast(self):
         result = run_query(
             "for $d in ('2003-02-01', '2001-12-31', '2002-06-15') "
